@@ -16,13 +16,6 @@ BitBlaster::BitBlaster(const TermTable &TT, SatSolver &S) : TT(TT), S(S) {
 // Gates
 //===----------------------------------------------------------------------===//
 
-static uint64_t gateKey(int Op, Lit A, Lit B) {
-  // Commutative ops are normalized by the callers (sorted operands).
-  return (static_cast<uint64_t>(Op) << 60) ^
-         (static_cast<uint64_t>(static_cast<uint32_t>(A.X)) << 30) ^
-         static_cast<uint64_t>(static_cast<uint32_t>(B.X));
-}
-
 Lit BitBlaster::gAnd(Lit A, Lit B) {
   bool CA, CB;
   if (isConstLit(A, CA))
@@ -33,9 +26,10 @@ Lit BitBlaster::gAnd(Lit A, Lit B) {
     return A;
   if (A == ~B)
     return falseLit();
+  // Commutative: operands are sorted before keying.
   if (B.X < A.X)
     std::swap(A, B);
-  uint64_t Key = gateKey(1, A, B);
+  GateKey Key = GateKey::gate2(GateKey::AndTag, A, B);
   Lit Z;
   if (GateCache.find(Key, Z))
     return Z;
@@ -69,7 +63,7 @@ Lit BitBlaster::gXor(Lit A, Lit B) {
   }
   if (B.X < A.X)
     std::swap(A, B);
-  uint64_t Key = gateKey(2, A, B);
+  GateKey Key = GateKey::gate2(GateKey::XorTag, A, B);
   Lit Z;
   if (!GateCache.find(Key, Z)) {
     Z = freshLit();
@@ -90,12 +84,7 @@ Lit BitBlaster::gMux(Lit Sel, Lit T, Lit E) {
     return T;
   if (T == ~E) // mux(s, ~e, e) = s XOR e
     return gXor(Sel, E);
-  // Three disjoint 21-bit fields: collision-free up to ~1M variables.
-  assert(Sel.X < (1 << 21) && T.X < (1 << 21) && E.X < (1 << 21));
-  uint64_t Key = (3ULL << 63) |
-                 (static_cast<uint64_t>(static_cast<uint32_t>(Sel.X)) << 42) |
-                 (static_cast<uint64_t>(static_cast<uint32_t>(T.X)) << 21) |
-                 static_cast<uint64_t>(static_cast<uint32_t>(E.X));
+  GateKey Key = GateKey::mux(Sel, T, E);
   Lit Z;
   if (GateCache.find(Key, Z))
     return Z;

@@ -24,58 +24,128 @@
 namespace lv {
 namespace smt {
 
-/// Structural-hash gate memo: open-addressing so a fork is two flat vector
-/// copies instead of a node-based hash-map rebuild. Keys are gate
-/// signatures (never 0), values the defined output literal.
+/// Exact gate signature: three full 32-bit operand fields. A mux stores
+/// (Sel, T, E); a two-input gate stores (A, B, op tag), where the tags
+/// have bit 31 set and so never equal a literal code (Lit::X < 2^31).
+/// Distinct gates therefore never share a key at any variable count.
+/// All-zero is the empty-slot marker: no gate has it (a mux with T == E
+/// folds before reaching the table).
+struct GateKey {
+  uint32_t A = 0, B = 0, C = 0;
+
+  static constexpr uint32_t AndTag = 0x80000001u;
+  static constexpr uint32_t XorTag = 0x80000002u;
+
+  static GateKey gate2(uint32_t Tag, Lit A, Lit B) {
+    return {static_cast<uint32_t>(A.X), static_cast<uint32_t>(B.X), Tag};
+  }
+  static GateKey mux(Lit Sel, Lit T, Lit E) {
+    return {static_cast<uint32_t>(Sel.X), static_cast<uint32_t>(T.X),
+            static_cast<uint32_t>(E.X)};
+  }
+
+  bool empty() const { return (A | B | C) == 0; }
+  bool operator==(const GateKey &O) const {
+    return A == O.A && B == O.B && C == O.C;
+  }
+};
+
+/// Structural-hash gate memo: open addressing over one flat bucket
+/// vector, so a fork is a single flat copy instead of a node-based
+/// hash-map rebuild. A bucket is four slots in one 64-byte line; a lookup
+/// scans its home bucket, then the following ones, until it meets the key
+/// or an empty slot (slots fill in probe order and are never removed, so
+/// an empty slot ends every chain through it). Every key goes through a
+/// full 64-bit mixer before masking: gate keys are highly structured (a
+/// word's gates share operands), and masking raw key bits would pile
+/// every gate that shares its masked field into one probe run. Probe
+/// order decides only where a key lives, never whether it is found, so it
+/// cannot reach the CNF.
 class GateTable {
 public:
-  GateTable() : Keys(1024, 0), Vals(1024) {}
+  GateTable() : Buckets(1024 / BucketSlots) {}
 
-  bool find(uint64_t Key, Lit &Out) const {
-    size_t Mask = Keys.size() - 1;
-    for (size_t I = Key & Mask;; I = (I + 1) & Mask) {
-      if (Keys[I] == 0)
-        return false;
-      if (Keys[I] == Key) {
-        Out = Vals[I];
-        return true;
+  bool find(const GateKey &Key, Lit &Out) const {
+    size_t Mask = Buckets.size() - 1;
+    ++Lookups;
+    for (size_t I = hashOf(Key) & Mask;; I = (I + 1) & Mask) {
+      ++Probes;
+      for (const Slot &S : Buckets[I].Slots) {
+        if (S.Key == Key) {
+          Out = S.Val;
+          return true;
+        }
+        if (S.Key.empty())
+          return false;
       }
     }
   }
 
-  void insert(uint64_t Key, Lit Val) {
-    if (Count * 10 >= Keys.size() * 7)
+  /// Inserts a key known to be absent.
+  void insert(const GateKey &Key, Lit Val) {
+    if (Count * 10 >= capacity() * 7)
       grow();
-    size_t Mask = Keys.size() - 1;
-    size_t I = Key & Mask;
-    while (Keys[I] != 0)
-      I = (I + 1) & Mask;
-    Keys[I] = Key;
-    Vals[I] = Val;
+    ++Lookups;
+    Probes += place(Key, Val);
     ++Count;
   }
 
+  size_t size() const { return Count; }
+  size_t capacity() const { return Buckets.size() * BucketSlots; }
+  /// find()/insert() calls and the buckets they read (grow() rehashing is
+  /// not counted); Probes / Lookups is the mean number of 64-byte lines a
+  /// lookup touches.
+  uint64_t lookups() const { return Lookups; }
+  uint64_t probes() const { return Probes; }
+
 private:
-  void grow() {
-    std::vector<uint64_t> OldK = std::move(Keys);
-    std::vector<Lit> OldV = std::move(Vals);
-    Keys.assign(OldK.size() * 2, 0);
-    Vals.assign(OldK.size() * 2, Lit());
-    size_t Mask = Keys.size() - 1;
-    for (size_t I = 0; I < OldK.size(); ++I) {
-      if (OldK[I] == 0)
-        continue;
-      size_t J = OldK[I] & Mask;
-      while (Keys[J] != 0)
-        J = (J + 1) & Mask;
-      Keys[J] = OldK[I];
-      Vals[J] = OldV[I];
-    }
+  static constexpr size_t BucketSlots = 4;
+  struct Slot {
+    GateKey Key;
+    Lit Val;
+  };
+  struct alignas(64) Bucket {
+    Slot Slots[BucketSlots];
+  };
+
+  /// murmur3's fmix64 finalizer over the key folded to 64 bits (the
+  /// multiply spreads C across all 64 bits before the xor).
+  static uint64_t hashOf(const GateKey &K) {
+    uint64_t H = ((static_cast<uint64_t>(K.A) << 32) | K.B) ^
+                 (static_cast<uint64_t>(K.C) * 0x9E3779B97F4A7C15ULL);
+    H ^= H >> 33;
+    H *= 0xFF51AFD7ED558CCDULL;
+    H ^= H >> 33;
+    H *= 0xC4CEB9FE1A85EC53ULL;
+    H ^= H >> 33;
+    return H;
   }
 
-  std::vector<uint64_t> Keys; ///< 0 = empty slot.
-  std::vector<Lit> Vals;
+  /// Puts \p Key in the first empty slot of its chain; returns the number
+  /// of buckets read.
+  uint64_t place(const GateKey &Key, Lit Val) {
+    size_t Mask = Buckets.size() - 1;
+    for (size_t I = hashOf(Key) & Mask, N = 1;; I = (I + 1) & Mask, ++N)
+      for (Slot &S : Buckets[I].Slots)
+        if (S.Key.empty()) {
+          S = Slot{Key, Val};
+          return N;
+        }
+  }
+
+  void grow() {
+    std::vector<Bucket> Old = std::move(Buckets);
+    Buckets.assign(Old.size() * 2, Bucket());
+    for (const Bucket &B : Old)
+      for (const Slot &S : B.Slots)
+        if (!S.Key.empty())
+          place(S.Key, S.Val);
+  }
+
+  std::vector<Bucket> Buckets;
   size_t Count = 0;
+  mutable uint64_t Lookups = 0;
+  mutable uint64_t Probes = 0;
 };
 
 /// Blasts terms into CNF over a SatSolver. The blaster is persistent: it
@@ -131,6 +201,9 @@ public:
 
   /// Terms of kind Var/BVar encountered during blasting (for model dumps).
   const std::vector<TermId> &seenVars() const { return VarsSeen; }
+
+  /// The structural-hash gate memo (size and probe statistics).
+  const GateTable &gateTable() const { return GateCache; }
 
   /// Owner term of solver variable \p V: the term whose blast created it
   /// (input bits belong to their Var/BVar term, internal gate variables

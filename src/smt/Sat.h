@@ -27,6 +27,8 @@
 #ifndef LV_SMT_SAT_H
 #define LV_SMT_SAT_H
 
+#include "support/PodVector.h"
+
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -147,13 +149,20 @@ public:
   int numVars() const { return static_cast<int>(Activity.size()); }
 
   /// Adds a clause; returns false if the formula became trivially UNSAT.
-  bool addClause(std::vector<Lit> Lits);
+  bool addClause(std::vector<Lit> Lits) {
+    return addClauseLits(Lits.data(), Lits.size());
+  }
 
-  /// Convenience for small clauses.
-  bool addClause(Lit A) { return addClause(std::vector<Lit>{A}); }
-  bool addClause(Lit A, Lit B) { return addClause(std::vector<Lit>{A, B}); }
+  /// Fixed-arity forms for gate clauses: same normalization, no heap
+  /// allocation.
+  bool addClause(Lit A) { return addClauseLits(&A, 1); }
+  bool addClause(Lit A, Lit B) {
+    Lit L[2] = {A, B};
+    return addClauseLits(L, 2);
+  }
   bool addClause(Lit A, Lit B, Lit C) {
-    return addClause(std::vector<Lit>{A, B, C});
+    Lit L[3] = {A, B, C};
+    return addClauseLits(L, 3);
   }
 
   /// Solves under the given budget.
@@ -263,7 +272,9 @@ private:
   // Per-literal lists are kept in append order (insertion at tail), the
   // same visit order as classic vector watch lists — propagation visit
   // order is search-visible, and keeping it stable keeps verdicts stable.
-  std::vector<WatchNode> WatchPool;
+  // The pool holds two nodes per clause, so it is the largest buffer that
+  // blasting grows; realloc growth keeps its doublings copy-free.
+  PodVector<WatchNode> WatchPool;
   std::vector<int32_t> WatchHead; ///< Indexed by Lit.X; -1 = empty.
   std::vector<int32_t> WatchTail; ///< Indexed by Lit.X; -1 = empty.
   int32_t WatchFree = -1;         ///< Free list threaded through Next.
@@ -330,7 +341,11 @@ private:
   /// was withholding). Callers on exit paths must run that propagation
   /// before returning.
   void liftCone();
-  void clearConeFlags();
+  void clearConeFlags() {
+    if (ConeFlagged)
+      clearConeFlagsSlow();
+  }
+  void clearConeFlagsSlow();
   bool coneMarked(Var V) const {
     return ConeStamp[static_cast<size_t>(V)] == ConeGen;
   }
@@ -356,7 +371,9 @@ private:
   void setLitAt(CRef C, uint32_t I, Lit L) {
     Arena[C + 2 + I] = static_cast<uint32_t>(L.X);
   }
-  CRef allocClause(const std::vector<Lit> &Lits, bool Learnt, uint32_t Lbd);
+  CRef allocClause(const Lit *Lits, size_t N, bool Learnt, uint32_t Lbd);
+  /// addClause on a scratch buffer that it sorts and compacts in place.
+  bool addClauseLits(Lit *Lits, size_t N);
 
   void watchInsert(int LitX, CRef C, Lit Blocker, uint32_t Flags) {
     int32_t N;

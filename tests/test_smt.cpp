@@ -446,4 +446,143 @@ TEST_P(SmtExhaustiveTest, UnsatMeansNoWitness) {
 
 INSTANTIATE_TEST_SUITE_P(Random, SmtExhaustiveTest, ::testing::Range(0, 50));
 
+//===----------------------------------------------------------------------===//
+// Structural-hash gate table
+//===----------------------------------------------------------------------===//
+
+/// A literal whose code is \p Low plus \p Hi copies of 2^21: every such
+/// literal shares its low 21 bits, the bits a masked slot index of the raw
+/// key would see. \p Hi < 1024 keeps the code a valid (non-negative) one.
+Lit highLit(uint32_t Hi, int Low) {
+  Lit L;
+  L.X = static_cast<int>((Hi << 21) | static_cast<uint32_t>(Low));
+  return L;
+}
+
+TEST(GateTable, KeysSharingLowBitsSurviveGrowth) {
+  GateTable G;
+  size_t Cap0 = G.capacity();
+  const uint32_t N = 6000;
+  for (uint32_t I = 0; I < N; ++I) {
+    Lit V;
+    V.X = static_cast<int>(2 * I);
+    G.insert(GateKey::mux(highLit(I % 1000, 4), highLit(I / 1000 + 1, 6),
+                          highLit(7, 8)),
+             V);
+  }
+  EXPECT_EQ(G.size(), N);
+  EXPECT_GE(G.capacity(), Cap0 * 8) << "expected at least three grows";
+  for (uint32_t I = 0; I < N; ++I) {
+    Lit Out;
+    ASSERT_TRUE(G.find(GateKey::mux(highLit(I % 1000, 4),
+                                    highLit(I / 1000 + 1, 6), highLit(7, 8)),
+                       Out))
+        << I;
+    EXPECT_EQ(Out.X, static_cast<int>(2 * I));
+    // Same low bits in every field, different high bits: never present.
+    EXPECT_FALSE(G.find(GateKey::mux(highLit(I % 1000, 4),
+                                     highLit(I / 1000 + 1, 6), highLit(8, 8)),
+                        Out));
+  }
+  // The same operands under different gate kinds are different keys.
+  Lit A = highLit(1, 2), B = highLit(2, 2), Out;
+  Lit V1, V2;
+  V1.X = 10;
+  V2.X = 12;
+  G.insert(GateKey::gate2(GateKey::AndTag, A, B), V1);
+  G.insert(GateKey::gate2(GateKey::XorTag, A, B), V2);
+  ASSERT_TRUE(G.find(GateKey::gate2(GateKey::AndTag, A, B), Out));
+  EXPECT_EQ(Out, V1);
+  ASSERT_TRUE(G.find(GateKey::gate2(GateKey::XorTag, A, B), Out));
+  EXPECT_EQ(Out, V2);
+  EXPECT_FALSE(G.find(GateKey::gate2(GateKey::AndTag, B, A), Out));
+  // Mixed bucket indices keep these structured keys in short probe runs.
+  EXPECT_LT(static_cast<double>(G.probes()) /
+                static_cast<double>(G.lookups()),
+            2.0);
+}
+
+/// Creates solver variables until the next one is \p V.
+void padVarsTo(SatSolver &S, Var V) {
+  while (S.numVars() < V)
+    S.newVar();
+}
+
+TEST(GateTable, MuxesDifferingAboveBit21AreDistinct) {
+  // Literal codes at or past 2^21 must not alias: a key packing 21-bit
+  // operand fields would give each of these mux pairs one output.
+  TermTable T;
+  SatSolver S;
+  BitBlaster B(T, S);
+  TermId S1 = T.mkBVar("s1"), S2 = T.mkBVar("s2");
+  TermId T1 = T.mkBVar("t1"), T2 = T.mkBVar("t2");
+  TermId E = T.mkBVar("e");
+  TermId P = T.mkBVar("p"), Q = T.mkBVar("q");
+  // Or blasts to a negated gate output: an odd select literal.
+  TermId OddSel = T.mkOr(P, Q);
+  Lit LS1 = B.blastBool(S1), LT1 = B.blastBool(T1), LE = B.blastBool(E);
+  Lit LOdd = B.blastBool(OddSel);
+  ASSERT_TRUE(LOdd.sign());
+  padVarsTo(S, LS1.var() + (1 << 20));
+  Lit LS2 = B.blastBool(S2);
+  ASSERT_EQ(LS2.X, LS1.X + (1 << 21));
+  padVarsTo(S, LT1.var() + (1 << 20));
+  Lit LT2 = B.blastBool(T2);
+  ASSERT_EQ(LT2.X, LT1.X + (1 << 21));
+
+  // Selects differing only above bit 21.
+  Lit M1 = B.blastBool(T.mkBIte(S1, T1, E));
+  Lit M2 = B.blastBool(T.mkBIte(S2, T1, E));
+  EXPECT_NE(M1.var(), M2.var());
+  // Then-arms differing only above bit 21, under an odd select.
+  Lit M3 = B.blastBool(T.mkBIte(OddSel, T1, E));
+  Lit M4 = B.blastBool(T.mkBIte(OddSel, T2, E));
+  EXPECT_NE(M3.var(), M4.var());
+
+  // Semantically: s1 & !s2 & t1 & !t2 & !e with (p | q) true splits both
+  // pairs, which aliased outputs could not satisfy.
+  std::vector<Lit> Assumps = {LS1, ~LS2, LT1, ~LT2, ~LE, LOdd,
+                              M1,  ~M2,  M3,  ~M4};
+  SatBudget Budget;
+  EXPECT_EQ(S.solve(Assumps, Budget), SatResult::Sat);
+}
+
+TEST(GateTable, MultiplierProbesStayShort) {
+  // Multiplier and overflow circuits stress the table: a raw-key index
+  // would put every gate sharing its last operand into one probe run.
+  TermTable T;
+  SatSolver S;
+  BitBlaster B(T, S);
+  TermId X = T.mkVar("x"), Y = T.mkVar("y"), Z = T.mkVar("z"),
+         W = T.mkVar("w");
+  B.blastBv(T.mkMul(X, Y));
+  B.blastBv(T.mkMul(Z, W));
+  B.blastBv(T.mkMul(X, Z));
+  B.blastBool(T.mkMulOvf(Y, W));
+  const GateTable &G = B.gateTable();
+  ASSERT_GT(G.lookups(), 10000u);
+  EXPECT_LT(static_cast<double>(G.probes()) /
+                static_cast<double>(G.lookups()),
+            2.0)
+      << G.probes() << " probes over " << G.lookups() << " lookups";
+}
+
+TEST(Sat, FixedArityClausesNormalize) {
+  SatSolver S;
+  Var A = S.newVar(), Bv = S.newVar(), C = S.newVar();
+  Lit LA(A, false), LB(Bv, false), LC(C, false);
+  EXPECT_TRUE(S.addClause(LA, ~LA, LB)); // tautology: dropped
+  EXPECT_EQ(S.numClauses(), 0u);
+  EXPECT_TRUE(S.addClause(LB, LA, LB)); // duplicate literal: binary clause
+  EXPECT_EQ(S.numClauses(), 1u);
+  EXPECT_TRUE(S.addClause(~LC));        // unit: fixed at level 0
+  EXPECT_TRUE(S.addClause(LC, ~LA));    // false literal dropped: unit ~A
+  EXPECT_EQ(S.numClauses(), 1u);
+  ASSERT_EQ(S.solve(), SatResult::Sat);
+  EXPECT_FALSE(S.modelValue(A));
+  EXPECT_TRUE(S.modelValue(Bv));
+  EXPECT_FALSE(S.addClause(LA, LC));    // both false: UNSAT
+  EXPECT_FALSE(S.ok());
+}
+
 } // namespace

@@ -32,6 +32,34 @@ RefineOptions withDiv(const std::string &Param, int32_t Offset,
   return O;
 }
 
+/// s212's scalar source and GPT-4's vectorized candidate (Fig. 1).
+const char *S212Scalar = R"(
+    void s212(int n, int *a, int *b, int *c, int *d) {
+      for (int i = 0; i < n - 1; i++) {
+        a[i] *= c[i];
+        b[i] += a[i + 1] * d[i];
+      }
+    })";
+const char *S212Vec = R"(
+    void s212(int n, int *a, int *b, int *c, int *d) {
+      int i;
+      for (i = 0; i < n - 1 - (n - 1) % 8; i += 8) {
+        __m256i a_vec = _mm256_loadu_si256((__m256i *)&a[i]);
+        __m256i b_vec = _mm256_loadu_si256((__m256i *)&b[i]);
+        __m256i c_vec = _mm256_loadu_si256((__m256i *)&c[i]);
+        __m256i a_next = _mm256_loadu_si256((__m256i *)&a[i + 1]);
+        __m256i d_vec = _mm256_loadu_si256((__m256i *)&d[i]);
+        __m256i prod = _mm256_mullo_epi32(a_vec, c_vec);
+        _mm256_storeu_si256((__m256i *)&a[i], prod);
+        prod = _mm256_mullo_epi32(a_next, d_vec);
+        _mm256_storeu_si256((__m256i *)&b[i], _mm256_add_epi32(b_vec, prod));
+      }
+      for (; i < n - 1; i++) {
+        a[i] *= c[i];
+        b[i] += a[i + 1] * d[i];
+      }
+    })";
+
 TEST(TV, IdenticalFunctionsAreEquivalentSyntactically) {
   const char *Src =
       "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) "
@@ -214,39 +242,37 @@ TEST(TV, S212AtAlive2StageIsInconclusive) {
   // for kernels like this. The pipeline-level C-unroll test proves it
   // Equivalent (see test_pipeline.cpp); here we assert the honest outcome:
   // not refuted, and Inconclusive under a bounded budget.
-  const char *Scalar = R"(
-    void s212(int n, int *a, int *b, int *c, int *d) {
-      for (int i = 0; i < n - 1; i++) {
-        a[i] *= c[i];
-        b[i] += a[i + 1] * d[i];
-      }
-    })";
-  const char *Vec = R"(
-    void s212(int n, int *a, int *b, int *c, int *d) {
-      int i;
-      for (i = 0; i < n - 1 - (n - 1) % 8; i += 8) {
-        __m256i a_vec = _mm256_loadu_si256((__m256i *)&a[i]);
-        __m256i b_vec = _mm256_loadu_si256((__m256i *)&b[i]);
-        __m256i c_vec = _mm256_loadu_si256((__m256i *)&c[i]);
-        __m256i a_next = _mm256_loadu_si256((__m256i *)&a[i + 1]);
-        __m256i d_vec = _mm256_loadu_si256((__m256i *)&d[i]);
-        __m256i prod = _mm256_mullo_epi32(a_vec, c_vec);
-        _mm256_storeu_si256((__m256i *)&a[i], prod);
-        prod = _mm256_mullo_epi32(a_next, d_vec);
-        _mm256_storeu_si256((__m256i *)&b[i], _mm256_add_epi32(b_vec, prod));
-      }
-      for (; i < n - 1; i++) {
-        a[i] *= c[i];
-        b[i] += a[i + 1] * d[i];
-      }
-    })";
-  VFunctionPtr S = mustCompile(Scalar);
-  VFunctionPtr V = mustCompile(Vec);
+  VFunctionPtr S = mustCompile(S212Scalar);
+  VFunctionPtr V = mustCompile(S212Vec);
   RefineOptions O = withDiv("n", -1);
   O.Budget.MaxConflicts = 5'000;
   TVResult R = checkRefinement(*S, *V, O);
   EXPECT_NE(R.V, TVVerdict::Inequivalent) << R.Counterexample;
   EXPECT_EQ(R.V, TVVerdict::Inconclusive) << R.Detail;
+}
+
+TEST(TV, S212Table3EncodingIsPinned) {
+  // CNF identity pin: blasting s212 with the Table-3 stage-2 options
+  // (ScalarMax 8, MaxTerms 120k; unroll bounds, windows and the alignment
+  // divisibility as core::checkEquivalence derives them) at conflict
+  // budget 0 is encoding only. The counts were measured before the gate
+  // table got its mixed bucket index and exact keys, which left them
+  // unchanged; a blaster change that alters the CNF moves them.
+  VFunctionPtr S = mustCompile(S212Scalar);
+  VFunctionPtr V = mustCompile(S212Vec);
+  RefineOptions O = withDiv("n", -1);
+  O.ScalarMax = 8;
+  O.SrcExec.UnrollBound = 8 / 1 + 2;
+  O.TgtExec.UnrollBound = 8 / 8 + 2;
+  O.SrcExec.MemWindow = O.TgtExec.MemWindow = O.CompareWindow = 8 + 8;
+  O.MaxTerms = 120'000;
+  O.Budget.MaxConflicts = 0;
+  TVResult R = checkRefinement(*S, *V, O);
+  EXPECT_EQ(R.V, TVVerdict::Inconclusive) << R.Detail;
+  EXPECT_EQ(R.TermCount, 9405u);
+  EXPECT_EQ(R.Clauses, 1'483'348u);
+  EXPECT_EQ(R.SatVars, 475'384u);
+  EXPECT_EQ(R.Propagations, 24'279u);
 }
 
 TEST(TV, ReductionVerifies) {

@@ -15,18 +15,10 @@
 // statistics showing *why* the domain-specific techniques scale better
 // (the paper's §3 argument).
 //
-// The funnel then runs as a *mode matrix* over the query-scoped-solving
-// configurations of the SAT backend:
+// The funnel then runs as a *mode matrix* over the solving
+// configurations of the stage-3/4 session:
 //
-//   seed              frozen copy of the seed smt stack (bench/seedref/),
-//                     scratch solver + full re-blast per cell — the fixed
-//                     "before" baseline
-//   fork              PR-3 behaviour: per-query forks of a pristine base
-//   fork_cone / _reuse / _cone_reuse
-//   shared            shared-learnt: queries solve directly on the base
-//                     (learnt clauses persist; heuristics rewound per
-//                     query), no per-query fork
-//   shared_cone / _reuse / _cone_reuse
+//   fork              per-query forks of a pristine base (the reference)
 //   portfolio         sound fast-path racing (the EquivConfig default):
 //                     every stage-3/4 query probes a shared-learnt
 //                     cone+reuse fast arm first and falls back to the
@@ -35,17 +27,17 @@
 //   fork_par8         plain fork + 8-worker cell fan-out (isolates the
 //                     dispatch machinery from the racing)
 //
-// Because cone projection, trail reuse, and racing perturb search order —
-// and budget-bound verdicts are sensitive to search order — the matrix is
-// a verdict-parity harness first and a speedup report second: it counts,
+// Budget-bound verdicts are sensitive to search order, so the matrix is a
+// verdict-parity harness first and a speedup report second: it counts,
 // for every arm, tests whose (Final, DecidedBy) differ from the fork
-// reference, and the exit gates require (a) seed/fork parity (the PR-2
-// invariant), (b) parity for the arm matching the EquivConfig defaults
+// reference, and the exit gates require (a) the fork arm to reproduce the
+// committed verdict golden perfbench/golden_verdicts.txt line for line,
+// "none none" marking pairs without a plausible candidate (--quick checks
+// its subset), (b) parity for the arm matching the EquivConfig defaults
 // (the configuration the svc funnel actually ships — portfolio), (c) the
-// shared-learnt propagation overhead actually removed by cone projection,
-// (d) the parallel cell dispatch bit-identical across worker counts
+// parallel cell dispatch bit-identical across worker counts
 // (portfolio_par2 == portfolio_par8 record-for-record, and fork_par8 ==
-// fork), and (e) the portfolio's splitting stage costing exactly the
+// fork), and (d) the portfolio's splitting stage costing exactly the
 // sound fork's SAT work (the adaptive probe gate retires the fast arm
 // before stage 4, so any extra conflicts there are a racing bug).
 // Everything is mirrored to BENCH_table3.json for CI tracking.
@@ -53,7 +45,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/Harness.h"
-#include "bench/seedref/SeedRef.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -63,6 +54,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <map>
 
 using namespace lv;
 using namespace lv::bench;
@@ -166,22 +159,9 @@ FunnelTally tally(const std::vector<FunnelRecord> &Funnel) {
   return T;
 }
 
-/// Before/After ratio; an idle "after" side means either no regression to
-/// measure (both zero -> 1.0) or an unmeasurably large win (capped so the
-/// JSON stays finite).
-double ratio(uint64_t Before, uint64_t After) {
-  if (After == 0)
-    return Before ? 1e9 : 1.0;
-  return static_cast<double>(Before) / static_cast<double>(After);
-}
-
-/// One matrix arm: a query-scoped-solving configuration of the funnel.
+/// One matrix arm: a solving configuration of the funnel.
 struct Arm {
   const char *Name;
-  bool Seed = false;     ///< Frozen seedref backend (fixed baseline).
-  bool Shared = false;   ///< SharedLearntSolving.
-  bool Cone = false;     ///< ConeProjection.
-  bool Reuse = false;    ///< TrailReuse.
   bool Portfolio = false; ///< PortfolioSolving (sound fast-path racing).
   int CellWorkers = 1;   ///< SplitCellWorkers (stage-4 fan-out width).
 
@@ -273,6 +253,31 @@ bool recordsBitEqual(const Arm &A, const Arm &B) {
   return true;
 }
 
+/// The "name final decided-by" line a record contributes to a funnel
+/// summary.
+std::string summaryLine(const FunnelRecord &R) {
+  return format("%s %s %s", R.Name.c_str(), core::outcomeName(R.Result.Final),
+                core::stageName(R.Result.DecidedBy));
+}
+
+/// The line a record contributes to the verdict golden: its summary
+/// line, or "name none none" when no candidate passed checksum testing.
+std::string goldenLine(const FunnelRecord &R) {
+  return R.HadPlausible ? summaryLine(R) : R.Name + " none none";
+}
+
+/// Reads the verdict golden (perfbench/golden_verdicts.txt) into name ->
+/// line; '#' lines are comments. Empty when the file is missing.
+std::map<std::string, std::string> loadGolden(const std::string &Path) {
+  std::map<std::string, std::string> G;
+  std::ifstream In(Path);
+  std::string Line;
+  while (std::getline(In, Line))
+    if (!Line.empty() && Line[0] != '#')
+      G[Line.substr(0, Line.find(' '))] = Line;
+  return G;
+}
+
 /// --quick test subset: the budget-borderline pairs whose verdicts flip
 /// between the fast and sound solving modes (they exhaust the fast probe
 /// and exercise the portfolio disagreement/fallback path all the way into
@@ -301,7 +306,7 @@ const char *gateWord(bool Vacuous, bool Ok) {
 
 int main(int argc, char **argv) {
   BenchOptions Opt = parseBenchArgs(argc, argv);
-  bool Quick = false; // --quick: flip-pair test subset + 5 arms
+  bool Quick = false; // --quick: flip-pair test subset + 4 arms
   for (int I = 1; I < argc; ++I)
     if (std::strcmp(argv[I], "--quick") == 0)
       Quick = true;
@@ -372,9 +377,7 @@ int main(int argc, char **argv) {
     for (const FunnelRecord &R : Recs) {
       Out.Bits += R.Name;
       Out.Bits += store::serializeEquivResult(R.Result);
-      appendf(Out.Summary, "%s %s %s\n", R.Name.c_str(),
-              core::outcomeName(R.Result.Final),
-              core::stageName(R.Result.DecidedBy));
+      Out.Summary += summaryLine(R) + "\n";
     }
     return Out;
   };
@@ -400,31 +403,18 @@ int main(int argc, char **argv) {
     PersistOk = PersistRun.Summary == ColdRun.Summary;
   }
 
-  // Name, Seed, Shared, Cone, Reuse, Portfolio, CellWorkers. Every arm
-  // pins PortfolioSolving and SplitCellWorkers explicitly (the EquivConfig
-  // defaults now enable racing, and the historical arms must keep
-  // measuring exactly the configuration they are named after).
+  // Name, Portfolio, CellWorkers. Every arm pins PortfolioSolving and
+  // SplitCellWorkers explicitly, so each keeps measuring exactly the
+  // configuration it is named after whatever the EquivConfig defaults.
   std::vector<Arm> Arms = {
-      {"seed", /*Seed=*/true},
       {"fork"},
-      {"fork_cone", false, false, true, false},
-      {"fork_reuse", false, false, false, true},
-      {"fork_cone_reuse", false, false, true, true},
-      {"shared", false, true, false, false},
-      {"shared_cone", false, true, true, false},
-      {"shared_reuse", false, true, false, true},
-      {"shared_cone_reuse", false, true, true, true},
-      {"portfolio", false, false, false, false, true, 1},
-      {"portfolio_par2", false, false, false, false, true, 2},
-      {"portfolio_par8", false, false, false, false, true, 8},
-      {"fork_par8", false, false, false, false, false, 8},
+      {"portfolio", true, 1},
+      {"portfolio_par2", true, 2},
+      {"portfolio_par8", true, 8},
+      {"fork_par8", false, 8},
   };
   if (Quick)
-    Arms = {{"seed", true},
-            {"fork"},
-            {"portfolio", false, false, false, false, true, 1},
-            {"portfolio_par2", false, false, false, false, true, 2},
-            {"portfolio_par8", false, false, false, false, true, 8}};
+    Arms.pop_back();
 
   // The arm that matches the EquivConfig defaults — the configuration the
   // svc funnel actually runs with. Its parity is a hard gate.
@@ -436,7 +426,7 @@ int main(int argc, char **argv) {
   // traced (fresh trace + metrics), and its span/counter sums — including
   // the portfolio win/fallback tallies — are gated against the
   // StageSatWork/StageInterpWork tallies below.
-  const size_t ForkArm = 1;
+  const size_t ForkArm = 0;
   size_t TracedArm = ForkArm;
   for (size_t I = 0; I < Arms.size(); ++I)
     if (std::strcmp(Arms[I].Name, "portfolio") == 0)
@@ -448,33 +438,11 @@ int main(int argc, char **argv) {
   for (size_t I = 0; I < Arms.size(); ++I) {
     Arm &A = Arms[I];
     core::EquivConfig Cfg = Base;
-    if (A.Seed) {
-      // Frozen seed smt stack: scratch solver + full re-blast per cell,
-      // with none of the query-scoped techniques.
-      Cfg.IncrementalSolving = false;
-      Cfg.SharedLearntSolving = false;
-      Cfg.ConeProjection = false;
-      Cfg.TrailReuse = false;
-      Cfg.PortfolioSolving = false;
-      Cfg.SplitCellWorkers = 1;
-      Cfg.SplitCellOverride = [](const vir::VFunction &S,
-                                 const vir::VFunction &T,
-                                 const tv::RefineOptions &RO) {
-        return seedref::checkRefinementSeed(S, T, RO);
-      };
-    } else {
-      Cfg.SharedLearntSolving = A.Shared;
-      Cfg.ConeProjection = A.Cone;
-      Cfg.TrailReuse = A.Reuse;
-      Cfg.PortfolioSolving = A.Portfolio;
-      Cfg.SplitCellWorkers = A.CellWorkers;
-      if (A.Shared == Defaults.SharedLearntSolving &&
-          A.Cone == Defaults.ConeProjection &&
-          A.Reuse == Defaults.TrailReuse &&
-          A.Portfolio == Defaults.PortfolioSolving &&
-          A.CellWorkers == Defaults.SplitCellWorkers)
-        DefaultArm = static_cast<int>(I);
-    }
+    Cfg.PortfolioSolving = A.Portfolio;
+    Cfg.SplitCellWorkers = A.CellWorkers;
+    if (A.Portfolio == Defaults.PortfolioSolving &&
+        A.CellWorkers == Defaults.SplitCellWorkers)
+      DefaultArm = static_cast<int>(I);
     std::printf("  [%zu/%zu] %s...\n", I + 1, Arms.size(), A.Name);
     if (I == TracedArm) {
       obs::resetTrace();
@@ -495,8 +463,34 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Verdict parity: every arm against the fork reference (and the seed
-  // arm transitively — the PR-2 invariant is seed == fork).
+  // Golden parity: the fork arm against the committed (Final, DecidedBy)
+  // golden, pair by pair (a --quick run checks only its subset). The
+  // perfbench golden holds the same 149 verdicts at the same seed and
+  // config, so it is the one source of truth for both.
+  const std::string GoldenPath =
+      std::string(LV_SOURCE_DIR) + "/perfbench/golden_verdicts.txt";
+  const std::map<std::string, std::string> Golden = loadGolden(GoldenPath);
+  int GoldenMismatches = 0;
+  if (Golden.empty())
+    std::printf("  GOLDEN MISSING: %s unreadable or empty\n",
+                GoldenPath.c_str());
+  for (const FunnelRecord &R : Arms[ForkArm].Records) {
+    auto It = Golden.find(R.Name);
+    std::string Got = goldenLine(R);
+    if (It == Golden.end() || It->second != Got) {
+      ++GoldenMismatches;
+      std::printf("  GOLDEN MISMATCH %s: expected '%s', got '%s'\n",
+                  R.Name.c_str(),
+                  It == Golden.end() ? "(absent)" : It->second.c_str(),
+                  Got.c_str());
+    }
+  }
+  // A full run covers every golden pair; a --quick run a subset of them.
+  bool GoldenParityOk =
+      !Golden.empty() && GoldenMismatches == 0 &&
+      (Quick || Golden.size() == Arms[ForkArm].Records.size());
+
+  // Verdict parity: every arm against the fork reference.
   int TotalMismatches = 0;
   for (size_t I = 0; I < Arms.size(); ++I) {
     if (I == ForkArm)
@@ -526,9 +520,7 @@ int main(int argc, char **argv) {
   if (DefaultArm >= 0) {
     std::string ArmSummary;
     for (const FunnelRecord &R : Arms[static_cast<size_t>(DefaultArm)].Records)
-      appendf(ArmSummary, "%s %s %s\n", R.Name.c_str(),
-              core::outcomeName(R.Result.Final),
-              core::stageName(R.Result.DecidedBy));
+      ArmSummary += summaryLine(R) + "\n";
     StoreArmParityOk = ColdRun.Summary == ArmSummary;
   }
 
@@ -595,14 +587,9 @@ int main(int argc, char **argv) {
   }
 
   // Gates.
-  const Arm *SeedA = &Arms[0];
-  const Arm *SharedA = nullptr, *SharedConeA = nullptr, *PortA = nullptr,
-            *Par2A = nullptr, *Par8A = nullptr, *ForkPar8A = nullptr;
+  const Arm *PortA = nullptr, *Par2A = nullptr, *Par8A = nullptr,
+            *ForkPar8A = nullptr;
   for (const Arm &A : Arms) {
-    if (std::strcmp(A.Name, "shared") == 0)
-      SharedA = &A;
-    if (std::strcmp(A.Name, "shared_cone") == 0)
-      SharedConeA = &A;
     if (std::strcmp(A.Name, "portfolio") == 0)
       PortA = &A;
     if (std::strcmp(A.Name, "portfolio_par2") == 0)
@@ -615,38 +602,8 @@ int main(int argc, char **argv) {
 
   bool ShapeOk = TA.allEq() > TA.A2Eq && (TA.CUEq + TA.CUNeq) > 0 &&
                  TA.Plaus > TA.allEq();
-  bool SeedParityOk = SeedA->Mismatches == 0;
   bool DefaultParityOk = DefaultArm < 0 ||
                          Arms[static_cast<size_t>(DefaultArm)].Mismatches == 0;
-
-  // Seed -> fork: the PR-2 win must not regress (vacuous when stage 4 had
-  // no work to do in either backend). The SAT-work ratio is deterministic
-  // (1.08x on the full corpus — most of the win is the skipped per-query
-  // re-encode, which conflicts don't count); the wall ratio carries the
-  // real reduction but is machine-sensitive (measured 1.8-2.9x across
-  // hosts and corpus subsets), so it gates at 1.5x: low enough to be
-  // stable, high enough that losing the session reuse (ratio -> ~1.0)
-  // still trips it.
-  double SeedSatRatio = ratio(SeedA->T.splitSatWork(), TA.splitSatWork());
-  double SeedWallRatio = ratio(SeedA->T.SplitWallNanos, TA.SplitWallNanos);
-  bool NoSplitWork = SeedA->T.splitSatWork() == 0 && TA.splitSatWork() == 0 &&
-                     SeedA->T.SplitWallNanos == 0 && TA.SplitWallNanos == 0;
-  bool SpeedupOk = NoSplitWork || SeedSatRatio >= 2.0 || SeedWallRatio >= 1.5;
-
-  // Cone projection must remove the shared-learnt propagation overhead:
-  // >= 1.5x fewer propagations than the plain shared-learnt baseline.
-  // Vacuously OK when the splitting stage did no SAT work in either arm
-  // (nothing reached stage 4): there is no overhead to remove.
-  bool NoSharedWork = SharedA && SharedConeA &&
-                      SharedA->T.SplitWork.Propagations == 0 &&
-                      SharedConeA->T.SplitWork.Propagations == 0;
-  double ConePropRatio =
-      SharedA && SharedConeA
-          ? ratio(SharedA->T.SplitWork.Propagations,
-                  SharedConeA->T.SplitWork.Propagations)
-          : 0.0;
-  bool ConeGateOk = !SharedA || !SharedConeA || NoSharedWork ||
-                    ConePropRatio >= 1.5;
 
   // Parallel cell dispatch: bit-identical results at every worker count.
   // portfolio_par2 == portfolio_par8 checks the fan-out is schedule-free;
@@ -776,21 +733,14 @@ int main(int argc, char **argv) {
 
   std::printf("\n  funnel shape (stages add verdicts beyond Alive2): %s\n",
               ShapeOk ? "OK" : "MISMATCH");
-  std::printf("  seed == fork verdicts on all %d pairs: %s\n", Total,
-              SeedParityOk ? "OK" : "MISMATCH");
+  std::printf("  golden == fork verdicts on all %d pairs: %s\n", Total,
+              GoldenParityOk ? "OK" : "MISMATCH");
   std::printf("  default config (%s) parity: %s\n",
               DefaultArm >= 0 ? Arms[static_cast<size_t>(DefaultArm)].Name
                               : "n/a",
               gateWord(DefaultArm < 0, DefaultParityOk));
   std::printf("  full matrix bit-identical: %s (%d mismatching verdicts)\n",
               TotalMismatches == 0 ? "OK" : "NO", TotalMismatches);
-  std::printf("  seed->fork splitting reduction (>=2x sat or >=1.5x wall): "
-              "%s (%.2fx sat, %.2fx wall)\n",
-              gateWord(NoSplitWork, SpeedupOk), SeedSatRatio, SeedWallRatio);
-  std::printf("  >=1.5x shared-learnt propagation cut from cone: %s "
-              "(%.2fx)\n",
-              gateWord(!SharedA || !SharedConeA || NoSharedWork, ConeGateOk),
-              ConePropRatio);
   std::printf("  parallel cell dispatch bit-identical at 1/2/8 workers: "
               "%s\n",
               gateWord((!Par2A || !Par8A) && !ForkPar8A, ParCellBitOk));
@@ -930,9 +880,6 @@ int main(int argc, char **argv) {
     StageJson("splitting", SP, "");
     appendf(J, "  },\n");
   }
-  appendf(J, "  \"seed_sat_ratio\": %.3f,\n  \"seed_wall_ratio\": %.3f,\n",
-          SeedSatRatio, SeedWallRatio);
-  appendf(J, "  \"cone_prop_ratio\": %.3f,\n", ConePropRatio);
   appendf(J, "  \"portfolio_split_wall_x\": %.3f,\n", PortSplitWallX);
   appendf(J, "  \"total_mismatches\": %d,\n", TotalMismatches);
   appendf(J,
@@ -943,13 +890,11 @@ int main(int argc, char **argv) {
           static_cast<unsigned long long>(TS.Dropped),
           static_cast<unsigned long long>(VerifyTasks));
   appendf(J,
-          "  \"shape_ok\": %s,\n  \"seed_parity_ok\": %s,\n"
-          "  \"default_parity_ok\": %s,\n  \"speedup_ok\": %s,\n"
-          "  \"cone_gate_ok\": %s,\n  \"par_cell_bit_ok\": %s,\n"
+          "  \"shape_ok\": %s,\n  \"golden_parity_ok\": %s,\n"
+          "  \"default_parity_ok\": %s,\n  \"par_cell_bit_ok\": %s,\n"
           "  \"portfolio_split_ok\": %s,\n",
-          ShapeOk ? "true" : "false", SeedParityOk ? "true" : "false",
-          DefaultParityOk ? "true" : "false", SpeedupOk ? "true" : "false",
-          ConeGateOk ? "true" : "false", ParCellBitOk ? "true" : "false",
+          ShapeOk ? "true" : "false", GoldenParityOk ? "true" : "false",
+          DefaultParityOk ? "true" : "false", ParCellBitOk ? "true" : "false",
           PortfolioSplitOk ? "true" : "false");
   appendf(J,
           "  \"span_parity_ok\": %s,\n  \"wall_parity_ok\": %s,\n"
@@ -999,8 +944,8 @@ int main(int argc, char **argv) {
   bool StoreOk = StoreBitOk && StoreColdOk && StoreWarmOk && StoreSpeedOk &&
                  StoreArmParityOk && PersistOk;
 
-  return ShapeOk && SeedParityOk && DefaultParityOk && SpeedupOk &&
-                 ConeGateOk && ParCellBitOk && PortfolioSplitOk &&
+  return ShapeOk && GoldenParityOk && DefaultParityOk && ParCellBitOk &&
+                 PortfolioSplitOk &&
                  SpanParityOk && WallParityOk && CounterParityOk &&
                  TraceJsonOk && MetricsJsonOk && StoreOk && JsonOk && ObsOk
              ? 0

@@ -41,11 +41,7 @@ uint64_t EquivConfig::configHash() const {
   H = hashField(H, 7, EnableAlive2 ? 1 : 0);
   H = hashField(H, 8, EnableCUnroll ? 1 : 0);
   H = hashField(H, 9, EnableSplitting ? 1 : 0);
-  H = hashField(H, 10, IncrementalSolving ? 1 : 0);
-  H = hashField(H, 11, SplitCellOverride ? 1 : 0);
-  H = hashField(H, 12, SharedLearntSolving ? 1 : 0);
-  H = hashField(H, 13, ConeProjection ? 1 : 0);
-  H = hashField(H, 14, TrailReuse ? 1 : 0);
+  // Tags 10-14 belonged to retired solver-mode fields; do not reuse them.
   H = hashField(H, 15, PortfolioSolving ? 1 : 0);
   H = hashField(H, 16, static_cast<uint64_t>(
                            static_cast<uint32_t>(SplitCellWorkers)));
@@ -156,6 +152,59 @@ static vir::VFunctionPtr lowerAst(const minic::Function &F,
     return nullptr;
   }
   return std::move(R.Fn);
+}
+
+/// Stages 3-4's query for a nest-elevated, aligned pair: straight-lines
+/// one aligned block of each side and lowers it to VIR.
+static StraightLineQuery buildStraightLine(const minic::Function &STv,
+                                           const minic::Function &VTv,
+                                           const Alignment &Align,
+                                           const EquivConfig &Cfg) {
+  StraightLineQuery Q;
+  UnrollResult SU =
+      unrollStraightLine(STv, Align.SrcCopies, /*DropLaterLoops=*/true);
+  UnrollResult VU =
+      unrollStraightLine(VTv, Align.TgtCopies, /*DropLaterLoops=*/true);
+  Q.Unrolled = SU.ok() && VU.ok();
+  if (Q.Unrolled) {
+    Q.Src = lowerAst(*SU.Fn, Q.Error);
+    Q.Tgt = Q.Src ? lowerAst(*VU.Fn, Q.Error) : nullptr;
+  } else {
+    Q.Error = SU.ok() ? VU.Error : SU.Error;
+  }
+  Q.Opts.ScalarMax = Cfg.ScalarMax;
+  Q.Opts.Portfolio = Cfg.PortfolioSolving;
+  Q.Opts.SrcExec.MemWindow = static_cast<int>(Align.Start + Align.V) + 10;
+  Q.Opts.TgtExec.MemWindow = Q.Opts.SrcExec.MemWindow;
+  Q.Opts.CompareWindow = Q.Opts.SrcExec.MemWindow;
+  if (Align.HasDiv)
+    Q.Opts.Divs.push_back(Align.Div);
+  Q.Opts.MaxTerms = Cfg.MaxTerms;
+  Q.FirstCell = static_cast<int>(Align.Start);
+  Q.NumCells = static_cast<int>(Align.V);
+  return Q;
+}
+
+StraightLineQuery lv::core::straightLineQuery(const std::string &ScalarSrc,
+                                              const std::string &VecSrc,
+                                              const EquivConfig &Cfg) {
+  StraightLineQuery Q;
+  vir::CompileResult SC = vir::compileFunction(ScalarSrc);
+  vir::CompileResult VC = vir::compileFunction(VecSrc);
+  if (!SC.ok() || !VC.ok()) {
+    Q.Error = SC.ok() ? VC.Error : SC.Error;
+    return Q;
+  }
+  minic::FunctionPtr STv = SC.Ast->clone();
+  minic::FunctionPtr VTv = VC.Ast->clone();
+  if (!elevateNests(STv, VTv, Q.Error))
+    return Q;
+  Alignment Align = computeAlignment(*STv, *VTv);
+  if (!Align.Valid) {
+    Q.Error = "loop alignment failed (non-canonical loop shapes)";
+    return Q;
+  }
+  return buildStraightLine(*STv, *VTv, Align, Cfg);
 }
 
 /// The staged funnel body, writing into \p Out so a cancellation unwind
@@ -274,44 +323,17 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
 
   // Stages 3-4 share one straight-lined encoding: both verify the same
   // aligned block, stage 3 over the full compare window and stage 4
-  // cell-by-cell. With Cfg.IncrementalSolving one RefinementSession blasts
-  // that encoding once and all queries (the stage-3 attempt and every
-  // stage-4 cell) run against the same incremental SAT context.
-  UnrollResult SU, VU;
-  vir::VFunctionPtr SUV, VUV;
-  std::string UnrollErr;
-  if (Cfg.EnableCUnroll || Cfg.EnableSplitting) {
-    SU = unrollStraightLine(*STv, Align.SrcCopies, /*DropLaterLoops=*/true);
-    VU = unrollStraightLine(*VTv, Align.TgtCopies, /*DropLaterLoops=*/true);
-    if (SU.ok() && VU.ok()) {
-      SUV = lowerAst(*SU.Fn, UnrollErr);
-      VUV = SUV ? lowerAst(*VU.Fn, UnrollErr) : nullptr;
-    } else {
-      UnrollErr = SU.ok() ? VU.Error : SU.Error;
-    }
-  }
-
-  tv::RefineOptions StraightRO;
-  StraightRO.ScalarMax = Cfg.ScalarMax;
-  // Query-scoped solving applies to the shared stage-3/4 session — the
-  // hot path the knobs were built for (many queries over one encoding).
-  StraightRO.SharedLearnt = Cfg.SharedLearntSolving;
-  StraightRO.Solver.ConeProjection = Cfg.ConeProjection;
-  StraightRO.Solver.TrailReuse = Cfg.TrailReuse;
-  // Portfolio racing needs a fork-clean sound base; the shared-learnt
-  // mode already owns the shared base, so it wins when both are set.
-  StraightRO.Portfolio = Cfg.PortfolioSolving && !Cfg.SharedLearntSolving;
-  StraightRO.SrcExec.MemWindow = static_cast<int>(Align.Start + Align.V) + 10;
-  StraightRO.TgtExec.MemWindow = StraightRO.SrcExec.MemWindow;
-  StraightRO.CompareWindow = StraightRO.SrcExec.MemWindow;
-  if (Align.HasDiv)
-    StraightRO.Divs.push_back(Align.Div);
-  StraightRO.MaxTerms = Cfg.MaxTerms;
+  // cell-by-cell. One RefinementSession blasts that encoding once and all
+  // queries (the stage-3 attempt and every stage-4 cell) run against the
+  // same incremental SAT context.
+  StraightLineQuery Q;
+  if (Cfg.EnableCUnroll || Cfg.EnableSplitting)
+    Q = buildStraightLine(*STv, *VTv, Align, Cfg);
 
   std::unique_ptr<tv::RefinementSession> Shared;
   auto sharedSession = [&]() -> tv::RefinementSession & {
     if (!Shared)
-      Shared.reset(new tv::RefinementSession(*SUV, *VUV, StraightRO));
+      Shared.reset(new tv::RefinementSession(*Q.Src, *Q.Tgt, Q.Opts));
     return *Shared;
   };
 
@@ -321,16 +343,10 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
     bool Decided = false;
     {
       obs::Span Timer("equiv", "stage.cunroll", &Out.CUnrollNanos);
-      if (SUV && VUV) {
-        smt::SatBudget Budget = StraightRO.Budget;
+      if (Q.ok()) {
+        smt::SatBudget Budget = Q.Opts.Budget;
         Budget.MaxConflicts = Cfg.CUnrollBudget;
-        if (Cfg.IncrementalSolving) {
-          Out.CUnrollRes = sharedSession().checkFull(Budget);
-        } else {
-          tv::RefineOptions RO = StraightRO;
-          RO.Budget = Budget;
-          Out.CUnrollRes = tv::checkRefinement(*SUV, *VUV, RO);
-        }
+        Out.CUnrollRes = sharedSession().checkFull(Budget);
         if (Out.CUnrollRes.V == TVVerdict::Equivalent ||
             Out.CUnrollRes.V == TVVerdict::Inequivalent) {
           Out.Final = Out.CUnrollRes.V == TVVerdict::Equivalent
@@ -343,7 +359,7 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
         }
       } else {
         Out.CUnrollRes.V = TVVerdict::Unsupported;
-        Out.CUnrollRes.Detail = UnrollErr;
+        Out.CUnrollRes.Detail = Q.Error;
       }
       Timer.arg("conflicts", Out.CUnrollRes.Conflicts);
       Timer.arg("propagations", Out.CUnrollRes.Propagations);
@@ -377,9 +393,9 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
         if (!A.Sub.Valid || A.Sub.Coef != 1 || A.Sub.Offset != 0)
           TargetAligned = false;
       Out.SplittingEligible = LS.spatialSplittingEligible() &&
-                              TargetAligned && SU.ok() && VU.ok();
-      if (Out.SplittingEligible && SUV && VUV) {
-        smt::SatBudget Budget = StraightRO.Budget;
+                              TargetAligned && Q.Unrolled;
+      if (Out.SplittingEligible && Q.ok()) {
+        smt::SatBudget Budget = Q.Opts.Budget;
         Budget.MaxConflicts = Cfg.SplitBudget;
         bool AllEq = true;
         // Shared decision step: identical for the sequential loop and
@@ -397,39 +413,28 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
             AllEq = false;
           Out.SplitRes.push_back(std::move(RJ));
         };
-        if (Cfg.IncrementalSolving && Cfg.SplitCellWorkers > 1) {
+        if (Cfg.SplitCellWorkers > 1) {
           // Parallel per-cell dispatch: pre-built violation terms, one
           // isolated fork per solve, deterministic cell-order merge.
-          std::vector<int> Cells(static_cast<size_t>(Align.V));
+          std::vector<int> Cells(static_cast<size_t>(Q.NumCells));
           for (size_t J = 0; J < Cells.size(); ++J)
-            Cells[J] = static_cast<int>(Align.Start) + static_cast<int>(J);
+            Cells[J] = Q.FirstCell + static_cast<int>(J);
           std::vector<TVResult> Batch =
               sharedSession().checkCells(Cells, Budget, Cfg.SplitCellWorkers);
           for (size_t J = 0; J < Batch.size() && !Decided; ++J)
             applyCell(Cells[J], std::move(Batch[J]));
         } else {
-          for (int J = 0; J < static_cast<int>(Align.V) && !Decided; ++J) {
+          for (int J = 0; J < Q.NumCells && !Decided; ++J) {
             support::throwIfCancelled("equiv.cell");
-            int Cell = static_cast<int>(Align.Start) + J;
-            TVResult RJ;
-            if (Cfg.IncrementalSolving) {
-              RJ = sharedSession().checkCell(Cell, Budget);
-            } else {
-              tv::RefineOptions RO = StraightRO;
-              RO.CellFilter = Cell;
-              RO.Budget = Budget;
-              RJ = Cfg.SplitCellOverride
-                       ? Cfg.SplitCellOverride(*SUV, *VUV, RO)
-                       : tv::checkRefinement(*SUV, *VUV, RO);
-            }
-            applyCell(Cell, std::move(RJ));
+            int Cell = Q.FirstCell + J;
+            applyCell(Cell, sharedSession().checkCell(Cell, Budget));
           }
         }
         if (!Decided && AllEq) {
           Out.Final = EquivResult::Equivalent;
           Out.DecidedBy = Stage::Splitting;
           Out.Detail = format("all %d per-cell queries verified",
-                              static_cast<int>(Align.V));
+                              Q.NumCells);
           Decided = true;
         }
       }

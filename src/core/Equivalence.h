@@ -25,7 +25,6 @@
 #include "interp/Checksum.h"
 #include "tv/Refine.h"
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -54,41 +53,15 @@ struct EquivConfig {
   bool EnableAlive2 = true;      ///< Ablation: skip stage 2.
   bool EnableCUnroll = true;     ///< Ablation: skip stage 3.
   bool EnableSplitting = true;   ///< Ablation: skip stage 4.
-  /// Share one incremental RefinementSession across stage 3 and all
-  /// stage-4 per-cell queries: symbolic execution and the common-encoding
-  /// blast happen once, each query runs in a throwaway fork of the
-  /// pristine base (verdicts identical to scratch solving by
-  /// construction). false restores the seed behaviour — a scratch solver
-  /// per query — and exists for ablation/benchmark comparison.
-  bool IncrementalSolving = true;
-  /// Query-scoped solving for the stage-3/4 session (see smt/README.md):
-  /// SharedLearntSolving runs queries directly on the shared base solver
-  /// (no per-query fork; learnt clauses carry across, heuristics rewind
-  /// per query); ConeProjection restricts each query's search to its
-  /// definitional cone; TrailReuse keeps the assumption trail prefix
-  /// across Luby restarts. All three perturb search order, and
-  /// budget-bound verdicts are order-sensitive, so the defaults follow
-  /// the bench_table3_equivalence parity matrix: fork-per-query is the
-  /// configuration with bit-identical verdicts on all 149 pairs (cone
-  /// projection is parity-clean there too but pays without winning in
-  /// fork mode), while shared-learnt + cone — the config that removes
-  /// the measured 2x shared-DB propagation overhead — still flips a
-  /// handful of budget-borderline verdicts and therefore stays opt-in.
-  bool SharedLearntSolving = false;
-  bool ConeProjection = false;
-  bool TrailReuse = false;
   /// Portfolio racing for the stage-3/4 session (smt/README.md
-  /// "Portfolio mode"): every query first runs a *fast arm* — a
-  /// dedicated shared-learnt base with cone projection and trail reuse,
-  /// the configuration the bench matrix measures fastest — under the
-  /// same budget. A decided fast verdict is accepted (both arms run
-  /// complete searches, so any Sat/Unsat is sound; the shared-arm
-  /// verdict flips are all budget artifacts), while an indeterminate
-  /// one falls back to the sound fork arm, whose verdict is
+  /// "Portfolio racing"): every query first runs a *fast arm* — a
+  /// dedicated shared-learnt base with cone projection and trail reuse —
+  /// under the same budget. A decided fast verdict is accepted (both arms
+  /// run complete searches, so any Sat/Unsat is sound), while an
+  /// indeterminate one falls back to the sound fork arm, whose verdict is
   /// bit-identical to plain fork-per-query by construction. This keeps
-  /// the fast arms' speed without giving up fork-parity verdicts, so it
-  /// is the default. Requires IncrementalSolving; ignored when
-  /// SharedLearntSolving is set (that mode already owns a shared base).
+  /// the fast arm's speed without giving up fork-parity verdicts, so it
+  /// is the default. false runs every query in the sound fork alone.
   bool PortfolioSolving = true;
   /// Stage-4 cell queries solved with this many threads via
   /// tv::RefinementSession::checkCells. 1 (default) keeps the
@@ -104,19 +77,9 @@ struct EquivConfig {
   /// the forked batch path, while both arms' verdicts stay gated
   /// against fork-per-query in bench_table3).
   int SplitCellWorkers = 1;
-  /// Bench/A-B hook: when set (and IncrementalSolving is false), stage-4
-  /// per-cell refinement queries route through this callback instead of
-  /// the built-in backend. bench_table3_equivalence uses it to drive a
-  /// frozen copy of the seed smt stack as the "before" measurement.
-  std::function<tv::TVResult(const vir::VFunction &, const vir::VFunction &,
-                             const tv::RefineOptions &)>
-      SplitCellOverride;
-
   /// Canonical content hash (tagged per field; see support/Rng.h). Keys
   /// the svc:: verdict cache together with the scalar/candidate source
-  /// hashes; only the *presence* of SplitCellOverride participates
-  /// (callbacks have no content identity — the service bypasses the cache
-  /// entirely when one is installed). Extend when adding fields.
+  /// hashes. Extend when adding fields; never reuse a retired tag.
   uint64_t configHash() const;
 };
 
@@ -173,6 +136,28 @@ const char *outcomeName(EquivResult::Outcome O);
 EquivResult checkEquivalence(const std::string &ScalarSrc,
                              const std::string &VecSrc,
                              const EquivConfig &Cfg = EquivConfig());
+
+/// Stages 3-4's shared query (§3.2-3.3): one aligned block of each side,
+/// straight-lined and lowered to VIR, the refinement options both stages
+/// solve under (each sets its own conflict budget), and stage 4's cells
+/// [FirstCell, FirstCell + NumCells).
+struct StraightLineQuery {
+  vir::VFunctionPtr Src, Tgt; ///< Null when a step failed (see Error).
+  bool Unrolled = false;      ///< Both sides straight-lined (pre-lowering).
+  tv::RefineOptions Opts;
+  int FirstCell = 0;
+  int NumCells = 0;
+  std::string Error;
+
+  bool ok() const { return Src && Tgt; }
+};
+
+/// Builds the stage-3/4 query checkEquivalence solves for a pair (after
+/// nest elevation and loop alignment), so reference solvers can run on
+/// exactly the funnel's encoding.
+StraightLineQuery straightLineQuery(const std::string &ScalarSrc,
+                                    const std::string &VecSrc,
+                                    const EquivConfig &Cfg = EquivConfig());
 
 } // namespace core
 } // namespace lv

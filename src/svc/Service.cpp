@@ -134,11 +134,6 @@ void VerdictCache::storeChecksum(const Key &K, const std::string &ScalarSrc,
                            CandidateSrc, O);
 }
 
-void VerdictCache::noteBypass() {
-  std::lock_guard<std::mutex> L(M);
-  ++Bypassed;
-}
-
 void VerdictCache::setBacking(store::ResultStore *Store) {
   std::lock_guard<std::mutex> L(M);
   Backing = Store;
@@ -149,7 +144,6 @@ CacheStats VerdictCache::stats() const {
   CacheStats S;
   S.Hits = Hits;
   S.Misses = Misses;
-  S.Bypassed = Bypassed;
   S.Entries = Equiv.size() + Checksum.size();
   return S;
 }
@@ -643,12 +637,8 @@ VectorizerService::checkCached(const std::string &ScalarSrc,
                                const std::string &CandidateSrc,
                                const core::EquivConfig &Cfg2, bool &Hit) {
   Hit = false;
-  // Callbacks have no content identity: never cache around an override.
-  if (!Cfg.EnableVerdictCache || Cfg2.SplitCellOverride) {
-    if (Cfg2.SplitCellOverride)
-      Cache->noteBypass();
+  if (!Cfg.EnableVerdictCache)
     return core::checkEquivalence(ScalarSrc, CandidateSrc, Cfg2);
-  }
   VerdictCache::Key K =
       VerdictCache::makeKey(ScalarSrc, CandidateSrc, Cfg2.configHash());
   core::EquivResult R;

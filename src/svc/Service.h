@@ -293,12 +293,10 @@ struct Outcome {
 std::string debugString(const Outcome &O);
 
 /// Cache counters. Hits/Misses cover both cached artifact kinds
-/// (equivalence verdicts and checksum outcomes); Bypassed counts lookups
-/// skipped because the config carried an unhashable callback.
+/// (equivalence verdicts and checksum outcomes).
 struct CacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
-  uint64_t Bypassed = 0;
   size_t Entries = 0;
 };
 
@@ -333,7 +331,6 @@ public:
   void storeChecksum(const Key &K, const std::string &ScalarSrc,
                      const std::string &CandidateSrc,
                      const interp::ChecksumOutcome &O);
-  void noteBypass();
   CacheStats stats() const;
 
   /// Attaches (or detaches, with null) a persistent backing store: memory
@@ -356,7 +353,7 @@ private:
   mutable std::mutex M;
   std::unordered_map<Key, Entry<core::EquivResult>, KeyHash> Equiv;
   std::unordered_map<Key, Entry<interp::ChecksumOutcome>, KeyHash> Checksum;
-  uint64_t Hits = 0, Misses = 0, Bypassed = 0;
+  uint64_t Hits = 0, Misses = 0;
   store::ResultStore *Backing = nullptr; ///< Optional persistent tier.
 };
 

@@ -7,8 +7,8 @@
 // instances hard enough to trigger it; (3) the IncrementalSolver facade
 // agrees with one-shot checkSat across repeated queries on a shared term
 // table; (4) regression: stage-4 spatial splitting returns identical
-// EquivResult verdicts whether queries share one incremental session or
-// re-solve from scratch per cell (the seed behaviour).
+// per-cell verdicts whether queries share one incremental session or
+// re-solve from scratch per cell (one-shot tv::checkRefinement).
 //
 //===----------------------------------------------------------------------===//
 
@@ -498,7 +498,7 @@ INSTANTIATE_TEST_SUITE_P(Random, IncrementalFacadeTest,
                          ::testing::Range(0, 20));
 
 //===----------------------------------------------------------------------===//
-// Stage-4 spatial splitting: incremental vs scratch (seed behaviour)
+// Stage-4 spatial splitting: incremental session vs scratch per cell
 //===----------------------------------------------------------------------===//
 
 namespace stage4 {
@@ -524,79 +524,101 @@ const char *VectorAdd2 = R"(
   })";
 
 /// Funnel config that forces the decision onto stage 4.
-core::EquivConfig splittingOnly(bool Incremental) {
+core::EquivConfig splittingOnly() {
   core::EquivConfig Cfg;
   Cfg.EnableAlive2 = false;
   Cfg.EnableCUnroll = false;
   Cfg.EnableSplitting = true;
-  Cfg.IncrementalSolving = Incremental;
   return Cfg;
+}
+
+/// Scratch reference for stage 4: one fresh one-shot checkRefinement per
+/// cell of the funnel's own straight-line query, under the funnel's
+/// stage-4 budget and with the same early exit on the first Inequivalent
+/// cell.
+std::vector<tv::TVResult> scratchCells(const char *Scalar, const char *Vec,
+                                       const core::EquivConfig &Cfg) {
+  core::StraightLineQuery Q = core::straightLineQuery(Scalar, Vec, Cfg);
+  std::vector<tv::TVResult> Out;
+  EXPECT_TRUE(Q.ok()) << Q.Error;
+  if (!Q.ok())
+    return Out;
+  tv::RefineOptions RO = Q.Opts;
+  RO.Budget.MaxConflicts = Cfg.SplitBudget;
+  for (int J = 0; J < Q.NumCells; ++J) {
+    RO.CellFilter = Q.FirstCell + J;
+    Out.push_back(tv::checkRefinement(*Q.Src, *Q.Tgt, RO));
+    if (Out.back().V == tv::TVVerdict::Inequivalent)
+      break;
+  }
+  return Out;
 }
 
 } // namespace stage4
 
 TEST(SpatialSplittingRegression, EquivalentPairIdenticalVerdicts) {
-  core::EquivResult Inc = core::checkEquivalence(
-      stage4::ScalarAdd1, stage4::VectorAdd1, stage4::splittingOnly(true));
-  core::EquivResult Scr = core::checkEquivalence(
-      stage4::ScalarAdd1, stage4::VectorAdd1, stage4::splittingOnly(false));
+  core::EquivConfig Cfg = stage4::splittingOnly();
+  core::EquivResult Inc =
+      core::checkEquivalence(stage4::ScalarAdd1, stage4::VectorAdd1, Cfg);
+  std::vector<tv::TVResult> Scr =
+      stage4::scratchCells(stage4::ScalarAdd1, stage4::VectorAdd1, Cfg);
 
   EXPECT_EQ(Inc.Final, core::EquivResult::Equivalent) << Inc.Detail;
-  EXPECT_EQ(Inc.Final, Scr.Final);
   EXPECT_EQ(Inc.DecidedBy, core::Stage::Splitting);
-  EXPECT_EQ(Inc.DecidedBy, Scr.DecidedBy);
-  ASSERT_EQ(Inc.SplitRes.size(), Scr.SplitRes.size());
-  for (size_t I = 0; I < Inc.SplitRes.size(); ++I)
-    EXPECT_EQ(Inc.SplitRes[I].V, Scr.SplitRes[I].V) << "cell " << I;
+  ASSERT_EQ(Inc.SplitRes.size(), Scr.size());
+  for (size_t I = 0; I < Scr.size(); ++I) {
+    EXPECT_EQ(Scr[I].V, tv::TVVerdict::Equivalent) << "cell " << I;
+    EXPECT_EQ(Inc.SplitRes[I].V, Scr[I].V) << "cell " << I;
+  }
 }
 
 TEST(SpatialSplittingRegression, InequivalentPairIdenticalVerdicts) {
   // Disable checksum runs so the broken candidate reaches the formal
   // stages (the paper relies on testing to catch this; here we want the
   // splitting stage itself to refute it).
-  core::EquivConfig Inc4 = stage4::splittingOnly(true);
-  Inc4.Checksum.NValues.clear();
-  core::EquivConfig Scr4 = stage4::splittingOnly(false);
-  Scr4.Checksum.NValues.clear();
-
-  core::EquivResult Inc = core::checkEquivalence(stage4::ScalarAdd1,
-                                                 stage4::VectorAdd2, Inc4);
-  core::EquivResult Scr = core::checkEquivalence(stage4::ScalarAdd1,
-                                                 stage4::VectorAdd2, Scr4);
+  core::EquivConfig Cfg = stage4::splittingOnly();
+  Cfg.Checksum.NValues.clear();
+  core::EquivResult Inc =
+      core::checkEquivalence(stage4::ScalarAdd1, stage4::VectorAdd2, Cfg);
+  std::vector<tv::TVResult> Scr =
+      stage4::scratchCells(stage4::ScalarAdd1, stage4::VectorAdd2, Cfg);
 
   EXPECT_EQ(Inc.Final, core::EquivResult::Inequivalent) << Inc.Detail;
-  EXPECT_EQ(Inc.Final, Scr.Final);
   EXPECT_EQ(Inc.DecidedBy, core::Stage::Splitting);
-  EXPECT_EQ(Inc.DecidedBy, Scr.DecidedBy);
-  ASSERT_EQ(Inc.SplitRes.size(), Scr.SplitRes.size());
-  for (size_t I = 0; I < Inc.SplitRes.size(); ++I)
-    EXPECT_EQ(Inc.SplitRes[I].V, Scr.SplitRes[I].V) << "cell " << I;
+  ASSERT_EQ(Inc.SplitRes.size(), Scr.size());
+  ASSERT_FALSE(Scr.empty());
+  EXPECT_EQ(Scr.back().V, tv::TVVerdict::Inequivalent);
+  for (size_t I = 0; I < Scr.size(); ++I)
+    EXPECT_EQ(Inc.SplitRes[I].V, Scr[I].V) << "cell " << I;
   EXPECT_FALSE(Inc.Counterexample.empty());
 }
 
-TEST(SpatialSplittingRegression, SharedLearntFunnelMatchesForkVerdicts) {
-  // End-to-end stage-4 regression: the shared-learnt + cone + reuse
-  // configuration must reproduce the fork-per-query verdicts on the
-  // bundled equivalent pair.
-  core::EquivConfig Fork = stage4::splittingOnly(true);
-  Fork.SharedLearntSolving = false;
-  Fork.ConeProjection = false;
-  Fork.TrailReuse = false;
-  core::EquivConfig Shared = stage4::splittingOnly(true);
-  Shared.SharedLearntSolving = true;
-  Shared.ConeProjection = true;
-  Shared.TrailReuse = true;
+TEST(SpatialSplittingRegression, PortfolioFunnelMatchesForkVerdicts) {
+  // End-to-end stage-4 regression: portfolio racing (the default: a
+  // shared-learnt cone + reuse fast arm ahead of the sound fork) must
+  // reproduce the fork-per-query verdicts on the bundled equivalent pair.
+  core::EquivConfig Fork = stage4::splittingOnly();
+  Fork.PortfolioSolving = false;
+  core::EquivConfig Port = stage4::splittingOnly();
+  Port.PortfolioSolving = true;
 
   core::EquivResult F = core::checkEquivalence(stage4::ScalarAdd1,
                                                stage4::VectorAdd1, Fork);
-  core::EquivResult S = core::checkEquivalence(stage4::ScalarAdd1,
-                                               stage4::VectorAdd1, Shared);
+  core::EquivResult P = core::checkEquivalence(stage4::ScalarAdd1,
+                                               stage4::VectorAdd1, Port);
   EXPECT_EQ(F.Final, core::EquivResult::Equivalent) << F.Detail;
-  EXPECT_EQ(S.Final, F.Final);
-  EXPECT_EQ(S.DecidedBy, F.DecidedBy);
-  ASSERT_EQ(S.SplitRes.size(), F.SplitRes.size());
-  for (size_t I = 0; I < S.SplitRes.size(); ++I)
-    EXPECT_EQ(S.SplitRes[I].V, F.SplitRes[I].V) << "cell " << I;
+  EXPECT_EQ(P.Final, F.Final);
+  EXPECT_EQ(P.DecidedBy, F.DecidedBy);
+  ASSERT_EQ(P.SplitRes.size(), F.SplitRes.size());
+  // At least one cell's verdict must come from the fast arm itself
+  // (PortfolioArm 2 also covers cells the adaptive gate never raced).
+  bool FastDecided = false;
+  for (size_t I = 0; I < P.SplitRes.size(); ++I) {
+    EXPECT_EQ(P.SplitRes[I].V, F.SplitRes[I].V) << "cell " << I;
+    EXPECT_EQ(F.SplitRes[I].PortfolioArm, 0) << "cell " << I;
+    FastDecided |= P.SplitRes[I].PortfolioArm == 1;
+  }
+  EXPECT_TRUE(FastDecided) << "no stage-4 cell was decided by the fast arm";
 }
 
 TEST(SpatialSplittingRegression, IncrementalSharesOneEncoding) {
@@ -604,7 +626,7 @@ TEST(SpatialSplittingRegression, IncrementalSharesOneEncoding) {
   // over one encoding, not cells-many re-blasts: the *first* cell carries
   // nearly all blasting work and later cells add only their compare terms.
   core::EquivResult Inc = core::checkEquivalence(
-      stage4::ScalarAdd1, stage4::VectorAdd1, stage4::splittingOnly(true));
+      stage4::ScalarAdd1, stage4::VectorAdd1, stage4::splittingOnly());
   ASSERT_GE(Inc.SplitRes.size(), 2u);
   uint64_t First = Inc.SplitRes.front().Clauses;
   uint64_t Last = Inc.SplitRes.back().Clauses;

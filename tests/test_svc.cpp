@@ -4,9 +4,9 @@
 // transcripts are bit-identical at any worker count — the full TSVC suite
 // runs through VectorizerService at 1, 2, and 8 workers and every
 // Outcome's deterministic serialization must match byte for byte; (2) the
-// content-addressed verdict cache replays identical results and never
-// caches around unhashable callbacks; (3) configHash() is canonical —
-// same-typed fields cannot alias, every field participates.
+// content-addressed verdict cache replays identical results; (3)
+// configHash() is canonical — same-typed fields cannot alias, every field
+// participates.
 //
 //===----------------------------------------------------------------------===//
 
@@ -156,28 +156,6 @@ TEST(Service, CacheKeyedByConfigHash) {
   EXPECT_FALSE(Second.VerdictCacheHit);
 }
 
-TEST(Service, CacheBypassedForUnhashableCallbacks) {
-  const char *Scalar =
-      "void f(int n, int *a) { for (int i = 0; i < n; i++) a[i] = 1; }";
-  VectorizerService S;
-  Request R;
-  R.Mode = RunMode::Verify;
-  R.ScalarSource = Scalar;
-  R.CandidateSource = Scalar;
-  R.Equiv = fastEquiv();
-  R.Equiv.IncrementalSolving = false;
-  R.Equiv.SplitCellOverride = [](const vir::VFunction &S2,
-                                 const vir::VFunction &T,
-                                 const tv::RefineOptions &RO) {
-    return tv::checkRefinement(S2, T, RO);
-  };
-  Request R2 = R;
-  (void)S.wait(S.submit(std::move(R)));
-  const Outcome &Second = S.wait(S.submit(std::move(R2)));
-  EXPECT_FALSE(Second.VerdictCacheHit);
-  EXPECT_GE(S.cacheStats().Bypassed, 2u);
-}
-
 //===----------------------------------------------------------------------===//
 // configHash
 //===----------------------------------------------------------------------===//
@@ -284,17 +262,6 @@ TEST(ConfigHash, EquivFieldsDoNotAlias) {
   E.Checksum.Seed ^= 1; // nested config participates
   EXPECT_NE(E.configHash(), core::EquivConfig().configHash());
 
-  // The query-scoped-solving booleans participate and do not alias.
-  core::EquivConfig F, G;
-  F.SharedLearntSolving = !F.SharedLearntSolving;
-  G.ConeProjection = !G.ConeProjection;
-  EXPECT_NE(F.configHash(), G.configHash());
-  EXPECT_NE(F.configHash(), core::EquivConfig().configHash());
-  core::EquivConfig H;
-  H.TrailReuse = !H.TrailReuse;
-  EXPECT_NE(H.configHash(), core::EquivConfig().configHash());
-  EXPECT_NE(H.configHash(), G.configHash());
-
   // The portfolio knobs participate and do not alias the other booleans.
   core::EquivConfig I, J;
   I.PortfolioSolving = !I.PortfolioSolving;
@@ -302,7 +269,8 @@ TEST(ConfigHash, EquivFieldsDoNotAlias) {
   EXPECT_NE(I.configHash(), core::EquivConfig().configHash());
   EXPECT_NE(J.configHash(), core::EquivConfig().configHash());
   EXPECT_NE(I.configHash(), J.configHash());
-  EXPECT_NE(I.configHash(), H.configHash());
+  EXPECT_NE(I.configHash(), C.configHash());
+  EXPECT_NE(I.configHash(), D.configHash());
 }
 
 TEST(ConfigHash, FsmFieldsDoNotAlias) {
@@ -327,8 +295,13 @@ TEST(ConfigHash, PinnedGoldenValues) {
   // PR 7: EquivConfig grew PortfolioSolving (default true) and
   // SplitCellWorkers — portfolio verdicts must never share a cache slot
   // with the pre-portfolio default.
+  // EquivConfig fields 10-14 (the scratch-solving, split-cell callback,
+  // shared-learnt, cone-projection and trail-reuse knobs) removed. The store
+  // record layout is unchanged, so its schema version stays 1: store and
+  // journal headers embed this default hash, so logs written before the
+  // removal are set aside on open (Store.VersionMismatchSetsStoreAsideCleanly).
   EXPECT_EQ(interp::ChecksumConfig().configHash(), 0xf48e134cc157f574ULL);
-  EXPECT_EQ(core::EquivConfig().configHash(), 0x9fb625218de1d1d3ULL);
+  EXPECT_EQ(core::EquivConfig().configHash(), 0x6a5798c3cc0ded3dULL);
   EXPECT_EQ(agents::FsmConfig().configHash(), 0x5052f9edddaa4b60ULL);
 }
 

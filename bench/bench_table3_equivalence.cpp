@@ -15,17 +15,13 @@
 // statistics showing *why* the domain-specific techniques scale better
 // (the paper's §3 argument).
 //
-// The funnel then runs as a *mode matrix* over the solving
-// configurations of the stage-3/4 session:
+// The funnel then runs as an *arm matrix* over the stage-4 cell fan-out
+// width of the stage-3/4 session (every query runs in a throwaway fork of
+// a pristine base):
 //
-//   fork              per-query forks of a pristine base (the reference)
-//   portfolio         sound fast-path racing (the EquivConfig default):
-//                     every stage-3/4 query probes a shared-learnt
-//                     cone+reuse fast arm first and falls back to the
-//                     pristine sound fork when the probe is inconclusive
-//   portfolio_par2/8  portfolio + stage-4 cells fanned across 2/8 workers
-//   fork_par8         plain fork + 8-worker cell fan-out (isolates the
-//                     dispatch machinery from the racing)
+//   fork              sequential per-cell loop (the reference and the
+//                     EquivConfig default)
+//   fork_par2/8       stage-4 cells fanned across 2/8 workers
 //
 // Budget-bound verdicts are sensitive to search order, so the matrix is a
 // verdict-parity harness first and a speedup report second: it counts,
@@ -34,12 +30,9 @@
 // committed verdict golden perfbench/golden_verdicts.txt line for line,
 // "none none" marking pairs without a plausible candidate (--quick checks
 // its subset), (b) parity for the arm matching the EquivConfig defaults
-// (the configuration the svc funnel actually ships — portfolio), (c) the
-// parallel cell dispatch bit-identical across worker counts
-// (portfolio_par2 == portfolio_par8 record-for-record, and fork_par8 ==
-// fork), and (d) the portfolio's splitting stage costing exactly the
-// sound fork's SAT work (the adaptive probe gate retires the fast arm
-// before stage 4, so any extra conflicts there are a racing bug).
+// (the configuration the svc funnel actually ships), and (c) the parallel
+// cell dispatch bit-identical to the sequential loop record-for-record
+// (fork == fork_par2 == fork_par8).
 // Everything is mirrored to BENCH_table3.json for CI tracking.
 //
 //===----------------------------------------------------------------------===//
@@ -162,69 +155,23 @@ FunnelTally tally(const std::vector<FunnelRecord> &Funnel) {
 /// One matrix arm: a solving configuration of the funnel.
 struct Arm {
   const char *Name;
-  bool Portfolio = false; ///< PortfolioSolving (sound fast-path racing).
-  int CellWorkers = 1;   ///< SplitCellWorkers (stage-4 fan-out width).
+  int CellWorkers = 1; ///< SplitCellWorkers (stage-4 fan-out width).
 
-  std::vector<FunnelRecord> Records;
-  FunnelTally T;
+  std::vector<FunnelRecord> Records{};
+  FunnelTally T{};
   int Mismatches = 0; ///< Tests whose (Final, DecidedBy) differ from fork.
 };
 
-/// Portfolio racer attribution summed over the stage-3/4 session queries
-/// of every record (the only queries racing runs on; alive2 is one-shot).
-struct RacerStats {
-  uint64_t FastWins = 0, SoundWins = 0, Fallbacks = 0;
-  uint64_t FastConflicts = 0, FastProps = 0, FastReused = 0;
-  uint64_t FastConeVars = 0, FastConeClauses = 0;
-  uint64_t SoundConflicts = 0, SoundProps = 0;
-
-  void add(const tv::TVResult &R) {
-    if (R.PortfolioArm == 1)
-      ++FastWins;
-    else if (R.PortfolioArm == 2) {
-      ++Fallbacks;
-      if (R.decided())
-        ++SoundWins;
-    }
-    FastConflicts += R.FastConflicts;
-    FastProps += R.FastPropagations;
-    FastReused += R.FastTrailReused;
-    FastConeVars += R.FastConeVars;
-    FastConeClauses += R.FastConeClauses;
-    // Headline counters total both racers; the sound share is the rest.
-    SoundConflicts += R.Conflicts - R.FastConflicts;
-    SoundProps += R.Propagations - R.FastPropagations;
-  }
-};
-
-RacerStats armRacer(const Arm &A) {
-  RacerStats S;
-  for (const FunnelRecord &R : A.Records) {
-    S.add(R.Result.CUnrollRes);
-    for (const tv::TVResult &C : R.Result.SplitRes)
-      S.add(C);
-  }
-  return S;
-}
-
 /// Field-level equality of two query results, SolveNanos excluded (the
 /// one field wall-clock is allowed to vary under). Everything else —
-/// verdict, diagnostics, solver work, cone sizes, and the portfolio
-/// attribution — must be bit-identical for the worker-count gates.
+/// verdict, diagnostics, and solver work — must be bit-identical for the
+/// worker-count gates.
 bool tvEq(const tv::TVResult &A, const tv::TVResult &B) {
   return A.V == B.V && A.Conflicts == B.Conflicts &&
          A.Propagations == B.Propagations && A.Restarts == B.Restarts &&
-         A.TrailReused == B.TrailReused && A.ConeVars == B.ConeVars &&
-         A.ConeClauses == B.ConeClauses && A.Clauses == B.Clauses &&
-         A.SatVars == B.SatVars && A.LearntLive == B.LearntLive &&
-         A.AvgLBD == B.AvgLBD && A.TermCount == B.TermCount &&
-         A.PortfolioArm == B.PortfolioArm &&
-         A.FastConflicts == B.FastConflicts &&
-         A.FastPropagations == B.FastPropagations &&
-         A.FastRestarts == B.FastRestarts &&
-         A.FastTrailReused == B.FastTrailReused &&
-         A.FastConeVars == B.FastConeVars &&
-         A.FastConeClauses == B.FastConeClauses && A.Detail == B.Detail &&
+         A.Clauses == B.Clauses && A.SatVars == B.SatVars &&
+         A.LearntLive == B.LearntLive && A.AvgLBD == B.AvgLBD &&
+         A.TermCount == B.TermCount && A.Detail == B.Detail &&
          A.Counterexample == B.Counterexample;
 }
 
@@ -278,15 +225,13 @@ std::map<std::string, std::string> loadGolden(const std::string &Path) {
   return G;
 }
 
-/// --quick test subset: the budget-borderline pairs whose verdicts flip
-/// between the fast and sound solving modes (they exhaust the fast probe
-/// and exercise the portfolio disagreement/fallback path all the way into
-/// stage 4), plus enough ordinary pairs to keep the funnel-shape gate
-/// meaningful (checksum rejects, alive2/c-unroll deciders, and splitting
-/// survivors).
+/// --quick test subset: budget-borderline pairs decided late in the funnel
+/// (they run all the way into stage 4), plus enough ordinary pairs to keep
+/// the funnel-shape gate meaningful (checksum rejects, alive2/c-unroll
+/// deciders, and splitting survivors).
 const char *QuickTests[] = {
-    // Budget-borderline flip pairs: fast-arm inconclusive, sound-arm
-    // decided (s319 at c-unroll, the rest at spatial splitting).
+    // Budget-borderline pairs (s319 decided at c-unroll, the rest at
+    // spatial splitting).
     "s253", "s271", "s272", "s319", "s1279", "s2711",
     // Splitting-stage survivors (stay inconclusive end to end).
     "s273", "s274", "s276", "s2712",
@@ -306,12 +251,12 @@ const char *gateWord(bool Vacuous, bool Ok) {
 
 int main(int argc, char **argv) {
   BenchOptions Opt = parseBenchArgs(argc, argv);
-  bool Quick = false; // --quick: flip-pair test subset + 4 arms
+  bool Quick = false; // --quick: borderline test subset + 2 arms
   for (int I = 1; I < argc; ++I)
     if (std::strcmp(argv[I], "--quick") == 0)
       Quick = true;
 
-  // Tracing is scoped to the default (portfolio) arm only: corpus
+  // Tracing is scoped to the default (fork) arm only: corpus
   // generation and the other arms would otherwise pollute the
   // span-vs-tally parity sums.
   const bool TraceRequested = obs::tracingEnabled();
@@ -350,8 +295,8 @@ int main(int argc, char **argv) {
   // stages. Gates: serialized EquivResults bit-identical across the two
   // runs (the store's replay contract), the cold run persisted records,
   // the warm run was pure hits, and the combined checksum+splitting span
-  // wall collapsed by >= 5x. Runs before the mode matrix so the traced
-  // portfolio arm still owns the trace buffers at artifact-write time.
+  // wall collapsed by >= 5x. Runs before the arm matrix so the traced
+  // default arm still owns the trace buffers at artifact-write time.
   struct StoreRun {
     std::string Bits;    ///< Concatenated serializeEquivResult records.
     std::string Summary; ///< "name final decided-by" lines (arm-comparable:
@@ -403,34 +348,32 @@ int main(int argc, char **argv) {
     PersistOk = PersistRun.Summary == ColdRun.Summary;
   }
 
-  // Name, Portfolio, CellWorkers. Every arm pins PortfolioSolving and
-  // SplitCellWorkers explicitly, so each keeps measuring exactly the
-  // configuration it is named after whatever the EquivConfig defaults.
+  // Name, CellWorkers. Every arm pins SplitCellWorkers explicitly, so each
+  // keeps measuring exactly the configuration it is named after whatever
+  // the EquivConfig defaults.
   std::vector<Arm> Arms = {
-      {"fork"},
-      {"portfolio", true, 1},
-      {"portfolio_par2", true, 2},
-      {"portfolio_par8", true, 8},
-      {"fork_par8", false, 8},
+      {"fork", 1},
+      {"fork_par2", 2},
+      {"fork_par8", 8},
   };
   if (Quick)
     Arms.pop_back();
 
   // The arm that matches the EquivConfig defaults — the configuration the
-  // svc funnel actually runs with. Its parity is a hard gate.
-  core::EquivConfig Defaults;
-  int DefaultArm = -1;
-
-  // The fork arm is the verdict-parity reference; the portfolio arm (the
-  // shipping default) doubles as the observability reference: it runs
-  // traced (fresh trace + metrics), and its span/counter sums — including
-  // the portfolio win/fallback tallies — are gated against the
-  // StageSatWork/StageInterpWork tallies below.
+  // svc funnel actually runs with. Its parity is a hard gate (vacuous
+  // while the default is the fork reference itself).
   const size_t ForkArm = 0;
-  size_t TracedArm = ForkArm;
+  int DefaultArm = -1;
   for (size_t I = 0; I < Arms.size(); ++I)
-    if (std::strcmp(Arms[I].Name, "portfolio") == 0)
-      TracedArm = I;
+    if (Arms[I].CellWorkers == core::EquivConfig().SplitCellWorkers)
+      DefaultArm = static_cast<int>(I);
+
+  // The fork arm is the verdict-parity reference; the default arm doubles
+  // as the observability reference: it runs traced (fresh trace +
+  // metrics), and its span/counter sums are gated against the
+  // StageSatWork/StageInterpWork tallies below.
+  const size_t TracedArm =
+      DefaultArm >= 0 ? static_cast<size_t>(DefaultArm) : ForkArm;
   std::vector<obs::TraceEvent> Events;
   std::vector<obs::CounterSample> Counters;
   std::string TraceDoc, MetricsDoc;
@@ -438,11 +381,7 @@ int main(int argc, char **argv) {
   for (size_t I = 0; I < Arms.size(); ++I) {
     Arm &A = Arms[I];
     core::EquivConfig Cfg = Base;
-    Cfg.PortfolioSolving = A.Portfolio;
     Cfg.SplitCellWorkers = A.CellWorkers;
-    if (A.Portfolio == Defaults.PortfolioSolving &&
-        A.CellWorkers == Defaults.SplitCellWorkers)
-      DefaultArm = static_cast<int>(I);
     std::printf("  [%zu/%zu] %s...\n", I + 1, Arms.size(), A.Name);
     if (I == TracedArm) {
       obs::resetTrace();
@@ -553,86 +492,39 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(
                     TA.SpClauses / static_cast<uint64_t>(TA.SpN)));
 
-  // The mode matrix: splitting-stage cost per configuration.
-  std::printf("\n  spatial-splitting stage by mode (parity vs fork):\n");
-  std::printf("  %-18s %9s %12s %12s %10s %10s %9s\n", "mode", "queries",
-              "conflicts", "props", "reusedlits", "wall-ms", "mismatch");
+  // The arm matrix: splitting-stage cost per configuration.
+  std::printf("\n  spatial-splitting stage by arm (parity vs fork):\n");
+  std::printf("  %-18s %9s %12s %12s %10s %9s\n", "arm", "queries",
+              "conflicts", "props", "wall-ms", "mismatch");
   for (const Arm &A : Arms) {
-    std::printf("  %-18s %9d %12llu %12llu %10llu %10.1f %9d\n", A.Name,
+    std::printf("  %-18s %9d %12llu %12llu %10.1f %9d\n", A.Name,
                 A.T.SplitQueries,
                 static_cast<unsigned long long>(A.T.SplitWork.Conflicts),
                 static_cast<unsigned long long>(A.T.SplitWork.Propagations),
-                static_cast<unsigned long long>(A.T.SplitWork.TrailReused),
                 static_cast<double>(A.T.SplitWallNanos) / 1e6,
                 A.Mismatches);
   }
 
-  // Racer attribution for the portfolio arms: who decided, and how the
-  // SAT work split between the fast probe and the sound fork.
-  std::printf("\n  portfolio racer attribution (stage-3/4 queries):\n");
-  std::printf("  %-18s %8s %9s %9s %12s %12s %10s\n", "mode", "fastwin",
-              "soundwin", "fallback", "fast-conf", "sound-conf",
-              "fast-reuse");
-  for (const Arm &A : Arms) {
-    if (!A.Portfolio)
-      continue;
-    RacerStats R = armRacer(A);
-    std::printf("  %-18s %8llu %9llu %9llu %12llu %12llu %10llu\n", A.Name,
-                static_cast<unsigned long long>(R.FastWins),
-                static_cast<unsigned long long>(R.SoundWins),
-                static_cast<unsigned long long>(R.Fallbacks),
-                static_cast<unsigned long long>(R.FastConflicts),
-                static_cast<unsigned long long>(R.SoundConflicts),
-                static_cast<unsigned long long>(R.FastReused));
-  }
-
   // Gates.
-  const Arm *PortA = nullptr, *Par2A = nullptr, *Par8A = nullptr,
-            *ForkPar8A = nullptr;
-  for (const Arm &A : Arms) {
-    if (std::strcmp(A.Name, "portfolio") == 0)
-      PortA = &A;
-    if (std::strcmp(A.Name, "portfolio_par2") == 0)
-      Par2A = &A;
-    if (std::strcmp(A.Name, "portfolio_par8") == 0)
-      Par8A = &A;
-    if (std::strcmp(A.Name, "fork_par8") == 0)
-      ForkPar8A = &A;
-  }
-
   bool ShapeOk = TA.allEq() > TA.A2Eq && (TA.CUEq + TA.CUNeq) > 0 &&
                  TA.Plaus > TA.allEq();
   bool DefaultParityOk = DefaultArm < 0 ||
                          Arms[static_cast<size_t>(DefaultArm)].Mismatches == 0;
 
-  // Parallel cell dispatch: bit-identical results at every worker count.
-  // portfolio_par2 == portfolio_par8 checks the fan-out is schedule-free;
-  // fork == fork_par8 checks the batch machinery alone (no racing in the
-  // mix) reproduces the sequential loop exactly.
-  bool ParCellBitOk =
-      (!Par2A || !Par8A || recordsBitEqual(*Par2A, *Par8A)) &&
-      (!ForkPar8A || recordsBitEqual(Arms[ForkArm], *ForkPar8A));
+  // Parallel cell dispatch: every fan-out arm reproduces the sequential
+  // fork loop record-for-record, so results are bit-identical at every
+  // worker count.
+  bool ParCellBitOk = true;
+  for (size_t I = 0; I < Arms.size(); ++I)
+    if (I != ForkArm && Arms[I].CellWorkers > 1)
+      ParCellBitOk = recordsBitEqual(Arms[ForkArm], Arms[I]) && ParCellBitOk;
+  const bool ParCellVacuous = Arms.size() < 2;
 
-  // The portfolio's splitting stage must cost exactly the sound fork's
-  // SAT work: the adaptive probe gate retires the fast arm at the cunroll
-  // budget, so stage 4 runs pure sound forks. Work equality is exact and
-  // deterministic; the wall comparison gets slack for timer noise (the
-  // work being identical, the wall should track fork closely).
-  bool PortSplitWorkOk = !PortA || PortA->T.splitSatWork() ==
-                                       TA.splitSatWork();
-  double PortSplitWallX =
-      PortA && TA.SplitWallNanos
-          ? static_cast<double>(PortA->T.SplitWallNanos) /
-                static_cast<double>(TA.SplitWallNanos)
-          : 1.0;
-  bool PortfolioSplitOk = PortSplitWorkOk && PortSplitWallX <= 1.25;
-
-  // Observability gates on the traced portfolio arm: the per-stage span
+  // Observability gates on the traced default arm: the per-stage span
   // args and the tv.* counters must reproduce the StageSatWork/
   // StageInterpWork tallies svc aggregated from the same TVResults
   // (cache-free funnel, so every verify task emits exactly one set of
-  // stage spans). The portfolio win/fallback attribution rides the same
-  // parity: span args and counters both derive from PortfolioArm.
+  // stage spans).
   svc::StageSatWork FA2, FCU, FSP;
   svc::StageInterpWork FCK;
   uint64_t FA2Nanos = 0, FCUNanos = 0, FSPNanos = 0, FCKNanos = 0;
@@ -652,26 +544,12 @@ int main(int argc, char **argv) {
   auto satStageParity = [&](const char *Span, const svc::StageSatWork &W) {
     return sumSpanArg(Events, Span, "conflicts") == W.Conflicts &&
            sumSpanArg(Events, Span, "propagations") == W.Propagations &&
-           sumSpanArg(Events, Span, "restarts") == W.Restarts &&
-           sumSpanArg(Events, Span, "trail_reused") == W.TrailReused;
-  };
-  // Stages 3/4 run through the portfolio session; their spans carry the
-  // racer attribution and must reproduce the StageSatWork tallies.
-  auto portfolioStageParity = [&](const char *Span,
-                                  const svc::StageSatWork &W) {
-    return sumSpanArg(Events, Span, "portfolio_fast_wins") ==
-               W.PortfolioFastWins &&
-           sumSpanArg(Events, Span, "portfolio_sound_wins") ==
-               W.PortfolioSoundWins &&
-           sumSpanArg(Events, Span, "portfolio_fallbacks") ==
-               W.PortfolioFallbacks;
+           sumSpanArg(Events, Span, "restarts") == W.Restarts;
   };
   bool SpanParityOk =
       satStageParity("stage.alive2", FA2) &&
       satStageParity("stage.cunroll", FCU) &&
       satStageParity("stage.split", FSP) &&
-      portfolioStageParity("stage.cunroll", FCU) &&
-      portfolioStageParity("stage.split", FSP) &&
       sumSpanArg(Events, "stage.checksum", "instrs") == FCK.Instrs &&
       sumSpanArg(Events, "stage.checksum", "cand_runs") == FCK.CandRuns &&
       sumSpanArg(Events, "stage.checksum", "scalar_runs") == FCK.ScalarRuns &&
@@ -703,17 +581,6 @@ int main(int argc, char **argv) {
       cval("tv.propagations") ==
           FA2.Propagations + FCU.Propagations + FSP.Propagations &&
       cval("tv.restarts") == FA2.Restarts + FCU.Restarts + FSP.Restarts &&
-      cval("tv.trail_reused") ==
-          FA2.TrailReused + FCU.TrailReused + FSP.TrailReused &&
-      cval("tv.portfolio_fast_wins") ==
-          FA2.PortfolioFastWins + FCU.PortfolioFastWins +
-              FSP.PortfolioFastWins &&
-      cval("tv.portfolio_sound_wins") ==
-          FA2.PortfolioSoundWins + FCU.PortfolioSoundWins +
-              FSP.PortfolioSoundWins &&
-      cval("tv.portfolio_fallbacks") ==
-          FA2.PortfolioFallbacks + FCU.PortfolioFallbacks +
-              FSP.PortfolioFallbacks &&
       cval("svc.tasks") == VerifyTasks;
   std::string TraceErr, MetricsErr;
   std::vector<std::string> TraceKeys, MetricsKeys;
@@ -738,15 +605,14 @@ int main(int argc, char **argv) {
   std::printf("  default config (%s) parity: %s\n",
               DefaultArm >= 0 ? Arms[static_cast<size_t>(DefaultArm)].Name
                               : "n/a",
-              gateWord(DefaultArm < 0, DefaultParityOk));
+              gateWord(DefaultArm < 0 ||
+                           static_cast<size_t>(DefaultArm) == ForkArm,
+                       DefaultParityOk));
   std::printf("  full matrix bit-identical: %s (%d mismatching verdicts)\n",
               TotalMismatches == 0 ? "OK" : "NO", TotalMismatches);
-  std::printf("  parallel cell dispatch bit-identical at 1/2/8 workers: "
-              "%s\n",
-              gateWord((!Par2A || !Par8A) && !ForkPar8A, ParCellBitOk));
-  std::printf("  portfolio splitting == fork SAT work, wall <= 1.25x: %s "
-              "(%.2fx wall)\n",
-              gateWord(!PortA, PortfolioSplitOk), PortSplitWallX);
+  std::printf("  parallel cell dispatch bit-identical to the sequential "
+              "loop: %s\n",
+              gateWord(ParCellVacuous, ParCellBitOk));
   std::printf("  stage span sums reproduce StageSat/InterpWork tallies: %s\n",
               SpanParityOk ? "OK" : "MISMATCH");
   std::printf("  stage span durations reproduce EquivResult nanos: %s\n",
@@ -813,34 +679,15 @@ int main(int argc, char **argv) {
   appendf(J, "  \"arms\": [\n");
   for (size_t I = 0; I < Arms.size(); ++I) {
     const Arm &A = Arms[I];
-    RacerStats R = armRacer(A);
     appendf(J,
             "    {\"name\": \"%s\", \"queries\": %d, \"conflicts\": %llu, "
-            "\"propagations\": %llu, \"trail_reused\": %llu, "
-            "\"wall_ns\": %llu, \"mismatches\": %d, "
-            "\"cell_workers\": %d, \"portfolio\": %s, "
-            "\"fast_wins\": %llu, \"sound_wins\": %llu, "
-            "\"fallbacks\": %llu, \"fast_conflicts\": %llu, "
-            "\"fast_propagations\": %llu, \"fast_trail_reused\": %llu, "
-            "\"fast_cone_vars\": %llu, \"fast_cone_clauses\": %llu, "
-            "\"sound_conflicts\": %llu, \"sound_propagations\": %llu}%s\n",
+            "\"propagations\": %llu, \"wall_ns\": %llu, "
+            "\"mismatches\": %d, \"cell_workers\": %d}%s\n",
             A.Name, A.T.SplitQueries,
             static_cast<unsigned long long>(A.T.SplitWork.Conflicts),
             static_cast<unsigned long long>(A.T.SplitWork.Propagations),
-            static_cast<unsigned long long>(A.T.SplitWork.TrailReused),
             static_cast<unsigned long long>(A.T.SplitWallNanos),
-            A.Mismatches, A.CellWorkers, A.Portfolio ? "true" : "false",
-            static_cast<unsigned long long>(R.FastWins),
-            static_cast<unsigned long long>(R.SoundWins),
-            static_cast<unsigned long long>(R.Fallbacks),
-            static_cast<unsigned long long>(R.FastConflicts),
-            static_cast<unsigned long long>(R.FastProps),
-            static_cast<unsigned long long>(R.FastReused),
-            static_cast<unsigned long long>(R.FastConeVars),
-            static_cast<unsigned long long>(R.FastConeClauses),
-            static_cast<unsigned long long>(R.SoundConflicts),
-            static_cast<unsigned long long>(R.SoundProps),
-            I + 1 < Arms.size() ? "," : "");
+            A.Mismatches, A.CellWorkers, I + 1 < Arms.size() ? "," : "");
   }
   appendf(J, "  ],\n");
   // Per-stage SAT work of the default configuration (the numbers the svc
@@ -860,27 +707,16 @@ int main(int argc, char **argv) {
                          const char *Sep) {
       appendf(J,
               "    \"%s\": {\"conflicts\": %llu, \"propagations\": %llu, "
-              "\"restarts\": %llu, \"trail_reused\": %llu, "
-              "\"portfolio_fast_wins\": %llu, "
-              "\"portfolio_sound_wins\": %llu, "
-              "\"portfolio_fallbacks\": %llu, \"fast_conflicts\": %llu, "
-              "\"fast_propagations\": %llu}%s\n",
+              "\"restarts\": %llu}%s\n",
               Name, static_cast<unsigned long long>(W.Conflicts),
               static_cast<unsigned long long>(W.Propagations),
-              static_cast<unsigned long long>(W.Restarts),
-              static_cast<unsigned long long>(W.TrailReused),
-              static_cast<unsigned long long>(W.PortfolioFastWins),
-              static_cast<unsigned long long>(W.PortfolioSoundWins),
-              static_cast<unsigned long long>(W.PortfolioFallbacks),
-              static_cast<unsigned long long>(W.FastConflicts),
-              static_cast<unsigned long long>(W.FastPropagations), Sep);
+              static_cast<unsigned long long>(W.Restarts), Sep);
     };
     StageJson("alive2", A2, ",");
     StageJson("c_unroll", CU, ",");
     StageJson("splitting", SP, "");
     appendf(J, "  },\n");
   }
-  appendf(J, "  \"portfolio_split_wall_x\": %.3f,\n", PortSplitWallX);
   appendf(J, "  \"total_mismatches\": %d,\n", TotalMismatches);
   appendf(J,
           "  \"obs\": {\"trace_events\": %llu, \"trace_threads\": %llu, "
@@ -891,11 +727,9 @@ int main(int argc, char **argv) {
           static_cast<unsigned long long>(VerifyTasks));
   appendf(J,
           "  \"shape_ok\": %s,\n  \"golden_parity_ok\": %s,\n"
-          "  \"default_parity_ok\": %s,\n  \"par_cell_bit_ok\": %s,\n"
-          "  \"portfolio_split_ok\": %s,\n",
+          "  \"default_parity_ok\": %s,\n  \"par_cell_bit_ok\": %s,\n",
           ShapeOk ? "true" : "false", GoldenParityOk ? "true" : "false",
-          DefaultParityOk ? "true" : "false", ParCellBitOk ? "true" : "false",
-          PortfolioSplitOk ? "true" : "false");
+          DefaultParityOk ? "true" : "false", ParCellBitOk ? "true" : "false");
   appendf(J,
           "  \"span_parity_ok\": %s,\n  \"wall_parity_ok\": %s,\n"
           "  \"counter_parity_ok\": %s,\n  \"trace_json_ok\": %s,\n"
@@ -936,7 +770,7 @@ int main(int argc, char **argv) {
       writeBenchJson("bench_table3_equivalence", Opt, J, "BENCH_table3.json");
 
   // --trace/--metrics artifacts: the trace buffers still hold only the
-  // portfolio arm's spans (the other arms ran untraced); the metrics file
+  // default arm's spans (the other arms ran untraced); the metrics file
   // covers the whole run.
   obs::setTracingEnabled(TraceRequested);
   bool ObsOk = writeObsArtifacts(Opt);
@@ -945,7 +779,6 @@ int main(int argc, char **argv) {
                  StoreArmParityOk && PersistOk;
 
   return ShapeOk && GoldenParityOk && DefaultParityOk && ParCellBitOk &&
-                 PortfolioSplitOk &&
                  SpanParityOk && WallParityOk && CounterParityOk &&
                  TraceJsonOk && MetricsJsonOk && StoreOk && JsonOk && ObsOk
              ? 0

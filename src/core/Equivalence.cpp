@@ -41,8 +41,7 @@ uint64_t EquivConfig::configHash() const {
   H = hashField(H, 7, EnableAlive2 ? 1 : 0);
   H = hashField(H, 8, EnableCUnroll ? 1 : 0);
   H = hashField(H, 9, EnableSplitting ? 1 : 0);
-  // Tags 10-14 belonged to retired solver-mode fields; do not reuse them.
-  H = hashField(H, 15, PortfolioSolving ? 1 : 0);
+  // Tags 10-15 belonged to retired solver-mode fields; do not reuse them.
   H = hashField(H, 16, static_cast<uint64_t>(
                            static_cast<uint32_t>(SplitCellWorkers)));
   return H;
@@ -173,7 +172,6 @@ static StraightLineQuery buildStraightLine(const minic::Function &STv,
     Q.Error = SU.ok() ? VU.Error : SU.Error;
   }
   Q.Opts.ScalarMax = Cfg.ScalarMax;
-  Q.Opts.Portfolio = Cfg.PortfolioSolving;
   Q.Opts.SrcExec.MemWindow = static_cast<int>(Align.Start + Align.V) + 10;
   Q.Opts.TgtExec.MemWindow = Q.Opts.SrcExec.MemWindow;
   Q.Opts.CompareWindow = Q.Opts.SrcExec.MemWindow;
@@ -315,7 +313,6 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
       Timer.arg("conflicts", Out.Alive2Res.Conflicts);
       Timer.arg("propagations", Out.Alive2Res.Propagations);
       Timer.arg("restarts", Out.Alive2Res.Restarts);
-      Timer.arg("trail_reused", Out.Alive2Res.TrailReused);
     }
     if (Decided)
       return;
@@ -364,16 +361,6 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
       Timer.arg("conflicts", Out.CUnrollRes.Conflicts);
       Timer.arg("propagations", Out.CUnrollRes.Propagations);
       Timer.arg("restarts", Out.CUnrollRes.Restarts);
-      Timer.arg("trail_reused", Out.CUnrollRes.TrailReused);
-      // Stage 3 runs through the same portfolio session as stage 4.
-      Timer.arg("portfolio_fast_wins",
-                Out.CUnrollRes.PortfolioArm == 1 ? 1 : 0);
-      Timer.arg("portfolio_sound_wins",
-                Out.CUnrollRes.PortfolioArm == 2 && Out.CUnrollRes.decided()
-                    ? 1
-                    : 0);
-      Timer.arg("portfolio_fallbacks",
-                Out.CUnrollRes.PortfolioArm == 2 ? 1 : 0);
     }
     if (Decided)
       return;
@@ -438,29 +425,16 @@ static void checkEquivalenceImpl(const std::string &ScalarSrc,
           Decided = true;
         }
       }
-      uint64_t Conflicts = 0, Props = 0, Restarts = 0, Reused = 0;
-      uint64_t FastWins = 0, SoundWins = 0, Fallbacks = 0;
+      uint64_t Conflicts = 0, Props = 0, Restarts = 0;
       for (const TVResult &RJ : Out.SplitRes) {
         Conflicts += RJ.Conflicts;
         Props += RJ.Propagations;
         Restarts += RJ.Restarts;
-        Reused += RJ.TrailReused;
-        if (RJ.PortfolioArm == 1)
-          ++FastWins;
-        else if (RJ.PortfolioArm == 2) {
-          ++Fallbacks;
-          if (RJ.decided())
-            ++SoundWins;
-        }
       }
       Timer.arg("cells", Out.SplitRes.size());
       Timer.arg("conflicts", Conflicts);
       Timer.arg("propagations", Props);
       Timer.arg("restarts", Restarts);
-      Timer.arg("trail_reused", Reused);
-      Timer.arg("portfolio_fast_wins", FastWins);
-      Timer.arg("portfolio_sound_wins", SoundWins);
-      Timer.arg("portfolio_fallbacks", Fallbacks);
     }
     if (Decided)
       return;

@@ -53,29 +53,13 @@ struct EquivConfig {
   bool EnableAlive2 = true;      ///< Ablation: skip stage 2.
   bool EnableCUnroll = true;     ///< Ablation: skip stage 3.
   bool EnableSplitting = true;   ///< Ablation: skip stage 4.
-  /// Portfolio racing for the stage-3/4 session (smt/README.md
-  /// "Portfolio racing"): every query first runs a *fast arm* — a
-  /// dedicated shared-learnt base with cone projection and trail reuse —
-  /// under the same budget. A decided fast verdict is accepted (both arms
-  /// run complete searches, so any Sat/Unsat is sound), while an
-  /// indeterminate one falls back to the sound fork arm, whose verdict is
-  /// bit-identical to plain fork-per-query by construction. This keeps
-  /// the fast arm's speed without giving up fork-parity verdicts, so it
-  /// is the default. false runs every query in the sound fork alone.
-  bool PortfolioSolving = true;
   /// Stage-4 cell queries solved with this many threads via
   /// tv::RefinementSession::checkCells. 1 (default) keeps the
-  /// sequential per-cell loop — in portfolio mode the fast arm then
-  /// searches its warm shared base directly, the fastest shape on one
-  /// core. >1 fans the cells out: violation terms are pre-built
-  /// single-threaded, every solve runs in an isolated fork of
-  /// pre-fan-out state, and results merge in cell order — verdicts,
-  /// statistics, and debugString are bit-identical at any worker
-  /// count >= 2 by construction (and in non-portfolio fork mode the
-  /// batch is bit-identical to the sequential loop too; portfolio
-  /// fast-arm *statistics* differ between the warm sequential path and
-  /// the forked batch path, while both arms' verdicts stay gated
-  /// against fork-per-query in bench_table3).
+  /// sequential per-cell loop. >1 fans the cells out: violation terms
+  /// are pre-built single-threaded, every solve runs in an isolated fork
+  /// of the pristine base, and results merge in cell order — verdicts,
+  /// statistics, and debugString are bit-identical to the sequential
+  /// loop at any worker count by construction.
   int SplitCellWorkers = 1;
   /// Canonical content hash (tagged per field; see support/Rng.h). Keys
   /// the svc:: verdict cache together with the scalar/candidate source

@@ -63,7 +63,7 @@ class BatchJournal {
 public:
   /// On-disk schema version; bump when the record layout or the service's
   /// Outcome wire format (svc::serializeOutcome) changes.
-  static constexpr uint32_t SchemaVersion = 1;
+  static constexpr uint32_t SchemaVersion = 2;
 
   /// Opens (or creates) `<Dir>/journal.log`, replaying completed-task
   /// records into the in-memory index. Same degradation ladder as

@@ -109,7 +109,7 @@ void setChaosFileHooks(ChaosFileHooks H);
 class ResultStore {
 public:
   /// On-disk schema version; bump when any serialized layout changes.
-  static constexpr uint32_t SchemaVersion = 1;
+  static constexpr uint32_t SchemaVersion = 2;
 
   /// Opens (or creates) the store under \p Dir, replaying the record log
   /// into the in-memory index (`store.load` span). A missing directory is

@@ -1019,24 +1019,12 @@ void putSatWork(store::framing::Wr &W, const StageSatWork &SW) {
   W.u64(SW.Conflicts);
   W.u64(SW.Propagations);
   W.u64(SW.Restarts);
-  W.u64(SW.TrailReused);
-  W.u64(SW.PortfolioFastWins);
-  W.u64(SW.PortfolioSoundWins);
-  W.u64(SW.PortfolioFallbacks);
-  W.u64(SW.FastConflicts);
-  W.u64(SW.FastPropagations);
 }
 
 void getSatWork(store::framing::Rd &R, StageSatWork &SW) {
   SW.Conflicts = R.u64();
   SW.Propagations = R.u64();
   SW.Restarts = R.u64();
-  SW.TrailReused = R.u64();
-  SW.PortfolioFastWins = R.u64();
-  SW.PortfolioSoundWins = R.u64();
-  SW.PortfolioFallbacks = R.u64();
-  SW.FastConflicts = R.u64();
-  SW.FastPropagations = R.u64();
 }
 
 } // namespace
@@ -1188,13 +1176,10 @@ bool lv::svc::deserializeOutcome(const std::string &Bytes, Outcome &Out) {
 
 static void appendTV(std::string &S, const char *Label,
                      const tv::TVResult &R) {
-  appendf(S, "  %s: verdict=%d conflicts=%llu clauses=%llu "
-             "portfolio=%d fastc=%llu detail=%s\n",
+  appendf(S, "  %s: verdict=%d conflicts=%llu clauses=%llu detail=%s\n",
           Label, static_cast<int>(R.V),
           static_cast<unsigned long long>(R.Conflicts),
-          static_cast<unsigned long long>(R.Clauses),
-          static_cast<int>(R.PortfolioArm),
-          static_cast<unsigned long long>(R.FastConflicts), R.Detail.c_str());
+          static_cast<unsigned long long>(R.Clauses), R.Detail.c_str());
 }
 
 std::string lv::svc::debugString(const Outcome &O) {

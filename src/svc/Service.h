@@ -129,52 +129,22 @@ struct SampleVerdict {
 };
 
 /// SAT work one formal stage performed, summed over its queries (per-query
-/// deltas from tv::TVResult, so fork-per-query and shared-learnt solving
-/// report comparable numbers). Aggregated per task into Outcome; the bench
+/// deltas from tv::TVResult). Aggregated per task into Outcome; the bench
 /// drivers sum tasks into the BENCH_*.json perf trajectory.
 struct StageSatWork {
   uint64_t Conflicts = 0;
   uint64_t Propagations = 0;
   uint64_t Restarts = 0;
-  uint64_t TrailReused = 0;
-
-  /// Portfolio-mode attribution (all zero outside portfolio sessions).
-  /// Queries are classified by which racer produced the verdict:
-  /// fast-arm decided / sound fallback ran (and, of those, how many the
-  /// sound arm decided). The headline counters above already total both
-  /// racers' work; FastConflicts/FastPropagations break out the fast
-  /// racer's share (sound share = total - fast).
-  uint64_t PortfolioFastWins = 0;
-  uint64_t PortfolioSoundWins = 0;
-  uint64_t PortfolioFallbacks = 0;
-  uint64_t FastConflicts = 0;
-  uint64_t FastPropagations = 0;
 
   void add(const tv::TVResult &R) {
     Conflicts += R.Conflicts;
     Propagations += R.Propagations;
     Restarts += R.Restarts;
-    TrailReused += R.TrailReused;
-    FastConflicts += R.FastConflicts;
-    FastPropagations += R.FastPropagations;
-    if (R.PortfolioArm == 1)
-      ++PortfolioFastWins;
-    else if (R.PortfolioArm == 2) {
-      ++PortfolioFallbacks;
-      if (R.decided())
-        ++PortfolioSoundWins;
-    }
   }
   void add(const StageSatWork &O) {
     Conflicts += O.Conflicts;
     Propagations += O.Propagations;
     Restarts += O.Restarts;
-    TrailReused += O.TrailReused;
-    PortfolioFastWins += O.PortfolioFastWins;
-    PortfolioSoundWins += O.PortfolioSoundWins;
-    PortfolioFallbacks += O.PortfolioFallbacks;
-    FastConflicts += O.FastConflicts;
-    FastPropagations += O.FastPropagations;
   }
 };
 

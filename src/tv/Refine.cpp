@@ -63,28 +63,6 @@ struct RefinementSession::Impl {
   /// Reusable fork target for isolated queries (capacity persists across
   /// queries, so re-forking is allocation-free).
   std::unique_ptr<smt::IncrementalSolver> Fork;
-  /// Portfolio sessions: the fast racer's base — a copy of the pristine
-  /// sound base running shared-learnt with cone projection and trail
-  /// reuse. Sequential queries search it directly (learnt clauses
-  /// accumulate across queries, heuristics rewound per query); batched
-  /// cell dispatch forks it instead so
-  /// cells stay order-independent. The sound base IS below is never
-  /// searched in either case, so fallback forks reproduce plain
-  /// fork-per-query verdicts bit-exactly.
-  std::unique_ptr<smt::IncrementalSolver> FastIS;
-  /// Unused fork slot for the sequential path's solveIsolated call (the
-  /// sequential fast racer searches FastIS directly).
-  std::unique_ptr<smt::IncrementalSolver> FastForkSeq;
-  /// Adaptive fast-arm gate: the largest conflict budget at which the
-  /// fast racer has already exhausted itself without deciding. Queries at
-  /// that budget or below skip the race and go straight to the sound
-  /// fork — the portfolio stops paying double on budget classes where the
-  /// fast arm is known to be inconclusive (e.g. spatial splitting, whose
-  /// per-cell budget is far below the cunroll budget the fast arm already
-  /// failed at). Skipping is sound: the sound fork's verdict is the
-  /// parity reference either way. Monotone and deterministic: one probe
-  /// per budget class, never reset within a session.
-  uint64_t FastFailedBudgetHi = 0;
   /// Verdicts of completed isolated queries, keyed by the violation
   /// TermId (hash-consing makes syntactic equality an id compare) and
   /// guarded by exact budget equality. An identical query against a
@@ -174,21 +152,6 @@ struct RefinementSession::Impl {
     // The common prefix A && !UB_src is asserted once; per-query
     // violations then run under an assumption literal against it.
     IS.assertAlways(T.mkAnd(A, T.mkNot(SS.UB)));
-    if (Opts.Portfolio) {
-      // Portfolio racing: the fast arm gets its own shared-learnt base
-      // (cone projection + trail reuse), copied from the still-pristine
-      // sound base so both racers start from the identical encoding. Its
-      // branching heuristics rewind to this point before every query:
-      // sharing covers the clause DB (learnt lemmas), not VSIDS/phase
-      // warmth — warm heuristics are the main way one query's search
-      // distorts the next one's budget-bound verdict.
-      FastIS.reset(new smt::IncrementalSolver(IS));
-      smt::SatOptions FastOpts;
-      FastOpts.ConeProjection = true;
-      FastOpts.TrailReuse = true;
-      FastIS->setOptions(FastOpts);
-      FastIS->snapshotHeuristics();
-    }
     BaseTerms = T.size();
   }
 
@@ -207,47 +170,26 @@ struct RefinementSession::Impl {
   bool memoProbe(TermId Viol, const smt::SatBudget &Budget, TVResult &Out);
   /// Copies solver statistics and renders the verdict/counterexample.
   void finishResult(TVResult &Out, const smt::SmtResult &R);
-  /// The solve kernel shared by the sequential and batched paths: plain
-  /// fork-per-query, or the portfolio race when the session has a fast
-  /// base and \p RaceFast is set. The caller owns the fork buffers so
-  /// batch workers stay independent; \p FastDirect selects whether the
-  /// fast racer searches FastIS itself (sequential, warm shared-learnt)
-  /// or a fork of it (batched, order-independent). \p RaceFast false in a
-  /// portfolio session means the adaptive gate skipped the fast arm: the
-  /// sound fork decides alone and the result is marked PortfolioArm=2
-  /// with zero fast-arm work.
+  /// The solve kernel shared by the sequential and batched paths: re-fork
+  /// \p Fork from the pristine base and check \p Viol in it. The caller
+  /// owns the fork buffer so batch workers stay independent.
   TVResult solveIsolated(TermId Viol, const smt::SatBudget &Budget,
-                         std::unique_ptr<smt::IncrementalSolver> &SoundFork,
-                         std::unique_ptr<smt::IncrementalSolver> &FastFork,
-                         bool FastDirect, bool RaceFast);
+                         std::unique_ptr<smt::IncrementalSolver> &Fork);
 };
 
 /// Registry-counter emission for one completed query result. The counter
 /// deltas are exactly the fields StageSatWork::add(TVResult) aggregates —
-/// the bench parity gates rely on that equality — including the portfolio
-/// win/fallback tallies.
+/// the bench parity gates rely on that equality.
 static void emitQueryCounters(const TVResult &Out) {
   static obs::Counter &Queries = obs::counter("tv.queries");
   static obs::Counter &Conflicts = obs::counter("tv.conflicts");
   static obs::Counter &Props = obs::counter("tv.propagations");
   static obs::Counter &Restarts = obs::counter("tv.restarts");
-  static obs::Counter &Reused = obs::counter("tv.trail_reused");
-  static obs::Counter &FastWins = obs::counter("tv.portfolio_fast_wins");
-  static obs::Counter &SoundWins = obs::counter("tv.portfolio_sound_wins");
-  static obs::Counter &Fallbacks = obs::counter("tv.portfolio_fallbacks");
   static obs::Histogram &QueryNs = obs::histogram("tv.query_ns");
   Queries.inc();
   Conflicts.inc(Out.Conflicts);
   Props.inc(Out.Propagations);
   Restarts.inc(Out.Restarts);
-  Reused.inc(Out.TrailReused);
-  if (Out.PortfolioArm == 1) {
-    FastWins.inc();
-  } else if (Out.PortfolioArm == 2) {
-    Fallbacks.inc();
-    if (Out.decided())
-      SoundWins.inc();
-  }
   QueryNs.observe(Out.SolveNanos);
 }
 
@@ -258,7 +200,6 @@ static void emitQuerySpanArgs(obs::Span &S, const TVResult &Out, int CellLo,
   S.arg("conflicts", Out.Conflicts);
   S.arg("propagations", Out.Propagations);
   S.arg("restarts", Out.Restarts);
-  S.arg("trail_reused", Out.TrailReused);
 }
 
 /// Every session query funnels through here (checkFull, checkCell, and
@@ -312,14 +253,8 @@ bool RefinementSession::Impl::memoProbe(TermId Viol,
       It->second.Budget.MaxClauses != Budget.MaxClauses)
     return false;
   Out = It->second.Result;
-  // Report only work actually done by this replay — and no portfolio
-  // race ran, so the replay does not count as a win or a fallback.
+  // Report only work actually done by this replay.
   Out.Conflicts = Out.Propagations = Out.Restarts = 0;
-  Out.TrailReused = 0;
-  Out.ConeVars = Out.ConeClauses = 0;
-  Out.PortfolioArm = 0;
-  Out.FastConflicts = Out.FastPropagations = Out.FastRestarts = 0;
-  Out.FastTrailReused = Out.FastConeVars = Out.FastConeClauses = 0;
   return true;
 }
 
@@ -328,9 +263,6 @@ void RefinementSession::Impl::finishResult(TVResult &Out,
   Out.Conflicts = R.ConflictsUsed;
   Out.Propagations = R.PropagationsUsed;
   Out.Restarts = R.RestartsUsed;
-  Out.TrailReused = R.TrailReused;
-  Out.ConeVars = R.ConeVars;
-  Out.ConeClauses = R.ConeClauses;
   Out.Clauses = R.ClauseCount;
   Out.SatVars = R.VarCount;
   Out.LearntLive = R.LearntLive;
@@ -384,79 +316,13 @@ void RefinementSession::Impl::finishResult(TVResult &Out,
 
 TVResult RefinementSession::Impl::solveIsolated(
     TermId Viol, const smt::SatBudget &Budget,
-    std::unique_ptr<smt::IncrementalSolver> &SoundFork,
-    std::unique_ptr<smt::IncrementalSolver> &FastFork, bool FastDirect,
-    bool RaceFast) {
-  TVResult Out;
-  if (FastIS && RaceFast) {
-    // Portfolio race, fast racer first: shared-learnt + cone projection +
-    // trail reuse, under a probe slice of the query budget (the test
-    // hook can pinch it further to force the fallback path).
-    smt::SatBudget FastB = Budget;
-    uint64_t Div = Opts.PortfolioProbeDiv ? Opts.PortfolioProbeDiv : 1;
-    FastB.MaxConflicts = std::max<uint64_t>(FastB.MaxConflicts / Div, 1);
-    if (Opts.PortfolioFastMaxConflicts < FastB.MaxConflicts)
-      FastB.MaxConflicts = Opts.PortfolioFastMaxConflicts;
-    smt::SmtResult RF;
-    if (FastDirect) {
-      // Sequential dispatch: search the fast base itself so learnt
-      // clauses accumulate across queries (heuristics rewound per query).
-      FastIS->restoreHeuristics();
-      RF = FastIS->check(Viol, FastB);
-    } else {
-      // Batched dispatch: fork the fast base as snapshotted at fan-out so
-      // cells stay independent of solve order and worker count.
-      if (!FastFork)
-        FastFork.reset(new smt::IncrementalSolver(*FastIS));
-      else
-        FastFork->assignFrom(*FastIS);
-      FastFork->restoreHeuristics();
-      RF = FastFork->check(Viol, FastB);
-    }
-    Out.PortfolioArm = 1;
-    Out.FastConflicts = RF.ConflictsUsed;
-    Out.FastPropagations = RF.PropagationsUsed;
-    Out.FastRestarts = RF.RestartsUsed;
-    Out.FastTrailReused = RF.TrailReused;
-    Out.FastConeVars = RF.ConeVars;
-    Out.FastConeClauses = RF.ConeClauses;
-    if (RF.R != smt::SatResult::Unknown) {
-      // Both racers run complete searches, so a decided fast verdict is
-      // sound; accept it without paying for the sound racer at all.
-      finishResult(Out, RF);
-      return Out;
-    }
-    // Indeterminate fast racer (budget exhaustion — the only way the
-    // racers can "disagree"): fall back to the sound fork, whose verdict
-    // always stands and is bit-identical to plain fork-per-query solving
-    // because the sound base was never searched.
-    Out.PortfolioArm = 2;
-    if (!SoundFork)
-      SoundFork.reset(new smt::IncrementalSolver(IS));
-    else
-      SoundFork->assignFrom(IS);
-    smt::SmtResult RS = SoundFork->check(Viol, Budget);
-    // Headline counters total the work of both racers, keeping the
-    // StageSatWork/span/counter parity invariant honest about cost.
-    RS.ConflictsUsed += RF.ConflictsUsed;
-    RS.PropagationsUsed += RF.PropagationsUsed;
-    RS.RestartsUsed += RF.RestartsUsed;
-    RS.TrailReused += RF.TrailReused;
-    finishResult(Out, RS);
-    return Out;
-  }
-  // Adaptive skip (portfolio session, RaceFast false): the fast arm has
-  // already proven inconclusive at this budget class, so only the sound
-  // fork runs. Marked as a fallback with zero fast-arm work — FastConflicts
-  // distinguishes "raced and lost" from "skipped".
-  if (FastIS)
-    Out.PortfolioArm = 2;
-  if (!SoundFork)
-    SoundFork.reset(new smt::IncrementalSolver(IS));
+    std::unique_ptr<smt::IncrementalSolver> &Fork) {
+  if (!Fork)
+    Fork.reset(new smt::IncrementalSolver(IS));
   else
-    SoundFork->assignFrom(IS);
-  smt::SmtResult R = SoundFork->check(Viol, Budget);
-  finishResult(Out, R);
+    Fork->assignFrom(IS);
+  TVResult Out;
+  finishResult(Out, Fork->check(Viol, Budget));
   return Out;
 }
 
@@ -503,14 +369,8 @@ TVResult RefinementSession::Impl::queryBody(int CellLo, int CellHi,
   }
   if (Isolate) {
     size_t TC = Out.TermCount;
-    bool RaceFast = FastIS && Budget.MaxConflicts > FastFailedBudgetHi;
-    Out = solveIsolated(Viol, Budget, Fork, FastForkSeq,
-                        /*FastDirect=*/true, RaceFast);
+    Out = solveIsolated(Viol, Budget, Fork);
     Out.TermCount = TC;
-    // Fast racer exhausted its budget without deciding: stop racing this
-    // budget class (and anything smaller) for the rest of the session.
-    if (RaceFast && Out.PortfolioArm == 2)
-      FastFailedBudgetHi = std::max(FastFailedBudgetHi, Budget.MaxConflicts);
   } else {
     smt::SmtResult R = IS.check(Viol, Budget);
     finishResult(Out, R);
@@ -530,9 +390,8 @@ TVResult RefinementSession::Impl::queryBody(int CellLo, int CellHi,
 ///      intra-batch duplicates are planned as replays here.
 ///   B. Solve the remaining unique violations on \p Workers threads. The
 ///      TermTable is *const* during solving, and every solve runs in the
-///      thread's own fork of state snapshotted before the fan-out (sound
-///      base, and fast base in portfolio sessions), so results do not
-///      depend on scheduling.
+///      thread's own fork of the pristine base, so results do not depend
+///      on scheduling.
 ///   C. Merge in cell order: replay duplicates from the first occurrence
 ///      (zeroed work fields, exactly like a memo hit), emit the same
 ///      per-query span/counter shape as the sequential path, store memo
@@ -609,12 +468,9 @@ RefinementSession::Impl::queryBatch(const std::vector<int> &Cells,
     Solves.push_back(I2);
   }
 
-  // Phase B: solve the unique violations. The adaptive fast-arm gate is
-  // sampled ONCE before the fan-out and never written during it, so every
-  // solve sees the same decision regardless of worker count or schedule.
+  // Phase B: solve the unique violations.
   const size_t NSolve = Solves.size();
   int W = Workers < 1 ? 1 : Workers;
-  const bool RaceFast = FastIS && Budget.MaxConflicts > FastFailedBudgetHi;
   if (NSolve > 0) {
     std::atomic<size_t> Next{0};
     std::vector<std::exception_ptr> Errs(NSolve);
@@ -624,9 +480,9 @@ RefinementSession::Impl::queryBatch(const std::vector<int> &Cells,
     // in Errs and is rethrown after the join below).
     support::CancelToken *ParentTok = support::currentCancelToken();
     auto workerFn = [&]() {
-      // Thread-owned fork buffers: reused across this thread's solves,
-      // never shared (the bases they fork from are only read).
-      std::unique_ptr<smt::IncrementalSolver> SoundFork, FastFork;
+      // Thread-owned fork buffer: reused across this thread's solves,
+      // never shared (the base it forks from is only read).
+      std::unique_ptr<smt::IncrementalSolver> WFork;
       for (;;) {
         size_t K = Next.fetch_add(1);
         if (K >= NSolve)
@@ -636,8 +492,7 @@ RefinementSession::Impl::queryBatch(const std::vector<int> &Cells,
           if (ParentTok && ParentTok->expired())
             throw support::CancelledError("tv.cell_solve");
           auto SStart = nowNs();
-          TVResult Res = solveIsolated(P.Viol, Budget, SoundFork, FastFork,
-                                       /*FastDirect=*/false, RaceFast);
+          TVResult Res = solveIsolated(P.Viol, Budget, WFork);
           Res.TermCount = P.QueryTerms;
           Res.SolveNanos = P.BuildNanos + deltaNs(SStart);
           P.Ready = Res;
@@ -659,18 +514,6 @@ RefinementSession::Impl::queryBatch(const std::vector<int> &Cells,
       if (Errs[K])
         std::rethrow_exception(Errs[K]);
   }
-  // Deterministic gate update after the barrier: one batch shares one
-  // budget, so any fast-arm exhaustion in it retires the whole budget
-  // class. Computed from ALL planned solves (Phase B completes them all),
-  // so the outcome is identical at any worker count.
-  if (RaceFast)
-    for (size_t K = 0; K < NSolve; ++K)
-      if (Plans[Solves[K]].Ready.PortfolioArm == 2) {
-        FastFailedBudgetHi =
-            std::max(FastFailedBudgetHi, Budget.MaxConflicts);
-        break;
-      }
-
   // Phase C: deterministic merge in cell order.
   std::vector<TVResult> Out;
   Out.reserve(Cells.size());
@@ -686,11 +529,6 @@ RefinementSession::Impl::queryBatch(const std::vector<int> &Cells,
       // would have served had the cells run sequentially.
       R = Plans[static_cast<size_t>(P.Dup)].Ready;
       R.Conflicts = R.Propagations = R.Restarts = 0;
-      R.TrailReused = 0;
-      R.ConeVars = R.ConeClauses = 0;
-      R.PortfolioArm = 0;
-      R.FastConflicts = R.FastPropagations = R.FastRestarts = 0;
-      R.FastTrailReused = R.FastConeVars = R.FastConeClauses = 0;
       R.SolveNanos = P.BuildNanos;
       obs::counter("tv.memo_hits").inc();
     } else {

@@ -491,6 +491,46 @@ TEST(Journal, ServingConfigChangeInvalidatesReplay) {
   std::filesystem::remove_all(Dir, EC);
 }
 
+TEST(Journal, OldSchemaJournalIsSetAside) {
+  // A journal written under the previous schema carries Outcome payloads
+  // in the old wire layout: it must be set aside, never replayed.
+  ASSERT_GT(store::BatchJournal::SchemaVersion, 1u);
+  std::filesystem::path Dir = tempDir("lv_test_journal_schema");
+  {
+    store::BatchJournal J(Dir.string());
+    J.recordDone(7, "verify", "payload");
+  }
+  std::string Log = (Dir / "journal.log").string();
+  std::string Bytes;
+  {
+    std::FILE *F = std::fopen(Log.c_str(), "rb");
+    ASSERT_NE(F, nullptr);
+    char Buf[4096];
+    size_t N;
+    while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
+      Bytes.append(Buf, N);
+    std::fclose(F);
+  }
+  ASSERT_GT(Bytes.size(), 8u);
+  Bytes[4] = 1; // u32 SchemaVersion, little-endian
+  Bytes[5] = Bytes[6] = Bytes[7] = 0;
+  {
+    std::FILE *F = std::fopen(Log.c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    std::fwrite(Bytes.data(), 1, Bytes.size(), F);
+    std::fclose(F);
+  }
+  store::BatchJournal J(Dir.string());
+  EXPECT_EQ(J.stats().VersionSkipped, 1u);
+  EXPECT_EQ(J.stats().LoadedDone, 0u);
+  EXPECT_TRUE(J.ok());
+  EXPECT_TRUE(std::filesystem::exists(Log + ".skipped"));
+  std::string Payload;
+  EXPECT_FALSE(J.lookupDone(7, "verify", Payload));
+  std::error_code EC;
+  std::filesystem::remove_all(Dir, EC);
+}
+
 TEST(Journal, TornTailIsTruncatedAndReplaySurvives) {
   std::filesystem::path Dir = tempDir("lv_test_journal_torn");
   {
@@ -560,6 +600,12 @@ TEST(Drain, SettlesEveryTaskAndShedsLateAdmissions) {
 TEST(Drain, GracePeriodLetsWorkFinish) {
   ServiceConfig SC;
   SC.Workers = 2;
+  // DrainResult::Completed counts only tasks that finish after drain()
+  // starts; without a delay a loaded host can finish one before the call
+  // and the count reads 1. Each LLM call sleeps 0.5 s, well inside the
+  // grace.
+  SC.Chaos.LatencyRate = 1.0;
+  SC.Chaos.LatencyNanos = 500'000'000ULL;
   VectorizerService S(SC);
   std::vector<Ticket> Tickets = S.submitBatch(pipelineBatch(2));
   VectorizerService::DrainResult DR = S.drain(60'000'000'000ULL);

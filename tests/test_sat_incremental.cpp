@@ -170,260 +170,6 @@ TEST(LubySchedule, EverySubsequenceRestartsAtOne) {
 }
 
 //===----------------------------------------------------------------------===//
-// Trail reuse: verdict parity vs scratch solving, and the stat
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Pigeonhole clauses PHP(N, N-1): hard enough to force many restarts.
-void loadPigeonhole(SatSolver &S, int N) {
-  std::vector<std::vector<Var>> P(static_cast<size_t>(N),
-                                  std::vector<Var>(static_cast<size_t>(N - 1)));
-  for (auto &Row : P)
-    for (Var &V : Row)
-      V = S.newVar();
-  for (int I = 0; I < N; ++I) {
-    std::vector<Lit> C;
-    for (int H = 0; H < N - 1; ++H)
-      C.push_back(Lit(P[static_cast<size_t>(I)][static_cast<size_t>(H)],
-                      false));
-    S.addClause(C);
-  }
-  for (int H = 0; H < N - 1; ++H)
-    for (int I = 0; I < N; ++I)
-      for (int J = I + 1; J < N; ++J)
-        S.addClause(
-            Lit(P[static_cast<size_t>(I)][static_cast<size_t>(H)], true),
-            Lit(P[static_cast<size_t>(J)][static_cast<size_t>(H)], true));
-}
-
-} // namespace
-
-class TrailReuseParityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(TrailReuseParityTest, AgreesWithScratchSolver) {
-  Rng R(static_cast<uint64_t>(GetParam()) * 96731 + 7);
-  RandomCnf C = makeRandomCnf(R);
-
-  SatOptions Reuse;
-  Reuse.TrailReuse = true;
-
-  SatSolver Inc;
-  bool IncOk = loadCnf(Inc, C);
-  for (int Q = 0; Q < 6; ++Q) {
-    std::vector<Lit> Assumps;
-    int NumA = 1 + static_cast<int>(R.below(3));
-    for (int K = 0; K < NumA; ++K) {
-      Var V = static_cast<Var>(R.below(static_cast<uint64_t>(C.NumVars)));
-      Assumps.push_back(Lit(V, R.chance(0.5)));
-    }
-    SatSolver Scratch;
-    bool ScratchOk = loadCnf(Scratch, C);
-    for (Lit A : Assumps)
-      ScratchOk = Scratch.addClause(A) && ScratchOk;
-    SatResult Want = ScratchOk ? Scratch.solve() : SatResult::Unsat;
-    SatResult Got = IncOk ? Inc.solve(Assumps, SatBudget(), Reuse)
-                          : SatResult::Unsat;
-    ASSERT_NE(Got, SatResult::Unknown);
-    EXPECT_EQ(Got, Want) << "query " << Q;
-    if (Got == SatResult::Sat) {
-      for (Lit A : Assumps)
-        EXPECT_EQ(Inc.modelValue(A.var()), !A.sign());
-      for (const auto &Cl : C.Clauses) {
-        bool Any = false;
-        for (Lit L : Cl)
-          if (Inc.modelValue(L.var()) == !L.sign())
-            Any = true;
-        EXPECT_TRUE(Any) << "model violates a clause";
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Random, TrailReuseParityTest,
-                         ::testing::Range(0, 20));
-
-TEST(TrailReuse, ReusesAssumptionPrefixAcrossRestarts) {
-  // A hard instance under an assumption: the Luby restarts must keep the
-  // assumption level instead of re-deriving it, and the verdict must
-  // match the reuse-free solve.
-  SatSolver A, B;
-  loadPigeonhole(A, 8);
-  loadPigeonhole(B, 8);
-  Var Extra = A.newVar();
-  (void)B.newVar();
-  std::vector<Lit> Assumps{Lit(Extra, false)};
-
-  SatOptions Reuse;
-  Reuse.TrailReuse = true;
-  SatResult WithReuse = A.solve(Assumps, SatBudget(), Reuse);
-  SatResult Plain = B.solve(Assumps, SatBudget());
-  EXPECT_EQ(WithReuse, Plain);
-  EXPECT_EQ(WithReuse, SatResult::Unsat);
-  EXPECT_GT(A.stats().Restarts, 0u) << "instance too easy to restart";
-  EXPECT_GT(A.stats().TrailReused, 0u)
-      << "restarts did not reuse the assumption prefix";
-  EXPECT_EQ(B.stats().TrailReused, 0u) << "stat must be opt-in";
-}
-
-//===----------------------------------------------------------------------===//
-// Cone projection: parity with scratch solving, certificate restriction
-//===----------------------------------------------------------------------===//
-
-class ConeParityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ConeParityTest, AgreesWithScratchSolver) {
-  // Connectivity-cone fallback on raw CNF: projected solving must agree
-  // with scratch solving on every assumption query (cone projection only
-  // reshapes the search, never the verdict).
-  Rng R(static_cast<uint64_t>(GetParam()) * 193939 + 5);
-  RandomCnf C = makeRandomCnf(R);
-
-  SatOptions Cone;
-  Cone.ConeProjection = true;
-
-  SatSolver Inc;
-  bool IncOk = loadCnf(Inc, C);
-  for (int Q = 0; Q < 6; ++Q) {
-    std::vector<Lit> Assumps;
-    int NumA = 1 + static_cast<int>(R.below(3));
-    for (int K = 0; K < NumA; ++K) {
-      Var V = static_cast<Var>(R.below(static_cast<uint64_t>(C.NumVars)));
-      Assumps.push_back(Lit(V, R.chance(0.5)));
-    }
-    SatSolver Scratch;
-    bool ScratchOk = loadCnf(Scratch, C);
-    for (Lit A : Assumps)
-      ScratchOk = Scratch.addClause(A) && ScratchOk;
-    SatResult Want = ScratchOk ? Scratch.solve() : SatResult::Unsat;
-    SatResult Got = IncOk ? Inc.solve(Assumps, SatBudget(), Cone)
-                          : SatResult::Unsat;
-    ASSERT_NE(Got, SatResult::Unknown);
-    EXPECT_EQ(Got, Want) << "query " << Q;
-    if (Got == SatResult::Sat) {
-      // The lift phase completes the assignment, so the model must still
-      // satisfy every clause — not just the cone.
-      for (const auto &Cl : C.Clauses) {
-        bool Any = false;
-        for (Lit L : Cl)
-          if (Inc.modelValue(L.var()) == !L.sign())
-            Any = true;
-        EXPECT_TRUE(Any) << "model violates a clause";
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Random, ConeParityTest, ::testing::Range(0, 20));
-
-class ExternalConeSoundnessTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ExternalConeSoundnessTest, ArbitraryConesNeverChangeVerdicts) {
-  // The solver must stay sound for ANY caller-supplied cone — including
-  // ones that cut straight through clauses (the definitional cones the
-  // query layer sends do exactly that). This stresses the skip-flagged
-  // propagation, the restart-and-replay lift, and the exit catch-up:
-  // verdicts must match scratch solving and Sat models must satisfy
-  // every clause, not just the cone.
-  Rng R(static_cast<uint64_t>(GetParam()) * 777769 + 13);
-  RandomCnf C = makeRandomCnf(R);
-
-  SatOptions Cone;
-  Cone.ConeProjection = true;
-
-  SatSolver Inc;
-  bool IncOk = loadCnf(Inc, C);
-  for (int Q = 0; Q < 8; ++Q) {
-    std::vector<Lit> Assumps;
-    int NumA = 1 + static_cast<int>(R.below(3));
-    for (int K = 0; K < NumA; ++K) {
-      Var V = static_cast<Var>(R.below(static_cast<uint64_t>(C.NumVars)));
-      Assumps.push_back(Lit(V, R.chance(0.5)));
-    }
-    // A random subset of variables as the external cone.
-    std::vector<Var> ConeVars;
-    for (Var V = 0; V < C.NumVars; ++V)
-      if (R.chance(0.4))
-        ConeVars.push_back(V);
-
-    SatSolver Scratch;
-    bool ScratchOk = loadCnf(Scratch, C);
-    for (Lit A : Assumps)
-      ScratchOk = Scratch.addClause(A) && ScratchOk;
-    SatResult Want = ScratchOk ? Scratch.solve() : SatResult::Unsat;
-    SatResult Got = IncOk ? Inc.solve(Assumps, SatBudget(), Cone, &ConeVars)
-                          : SatResult::Unsat;
-    ASSERT_NE(Got, SatResult::Unknown);
-    EXPECT_EQ(Got, Want) << "query " << Q;
-    if (Got == SatResult::Sat) {
-      for (Lit A : Assumps)
-        EXPECT_EQ(Inc.modelValue(A.var()), !A.sign());
-      for (const auto &Cl : C.Clauses) {
-        bool Any = false;
-        for (Lit L : Cl)
-          if (Inc.modelValue(L.var()) == !L.sign())
-            Any = true;
-        EXPECT_TRUE(Any) << "model violates a clause outside the cone";
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Random, ExternalConeSoundnessTest,
-                         ::testing::Range(0, 30));
-
-TEST(ConeProjection, CertificateRestrictedToQueryCone) {
-  // Shared solver holding two independent encodings (the shared-learnt
-  // pattern): after solving one query cone-projected, the certificate
-  // must mention that query's variables and not the sibling's, while the
-  // verdicts still match scratch solving.
-  TermTable T;
-  TermId XA = T.mkVar("xa");
-  TermId XB = T.mkVar("xb");
-  TermId DomA = T.mkUlt(XA, T.mkConst(100));
-  TermId DomB = T.mkUlt(XB, T.mkConst(100));
-
-  IncrementalSolver IS(T);
-  // Only A's domain is shared context (context belongs to every cone);
-  // the sibling query carries its own domain, so its variables are
-  // genuinely outside A's cone.
-  IS.assertAlways(DomA);
-  SatOptions Cone;
-  Cone.ConeProjection = true;
-  IS.setOptions(Cone);
-
-  // Sibling query first: its gates accumulate in the shared DB.
-  TermId QB = T.mkAnd(DomB, T.mkEq(T.mkMul(XB, T.mkConst(3)),
-                                   T.mkConst(33)));
-  SmtResult RB = IS.check(QB);
-  ASSERT_TRUE(RB.sat());
-  EXPECT_GT(RB.ConeVars, 0u);
-
-  // Query A, cone-projected against the now-larger DB.
-  TermId QA = T.mkEq(T.mkAdd(XA, T.mkConst(5)), T.mkConst(17));
-  SmtResult RA = IS.check(QA);
-  ASSERT_TRUE(RA.sat());
-  EXPECT_GT(RA.ConeVars, 0u);
-  EXPECT_GT(RA.ConeClauses, 0u);
-
-  // Certificate restriction: xa present (and correct), xb absent.
-  auto ItA = RA.Model.find(XA);
-  ASSERT_NE(ItA, RA.Model.end()) << "query variable missing from model";
-  EXPECT_EQ(ItA->second, 12u);
-  EXPECT_EQ(RA.Model.count(XB), 0u)
-      << "sibling variable leaked into the cone certificate";
-
-  // Scratch cross-check of both verdicts.
-  EXPECT_TRUE(checkSat(T, T.mkAnd(DomA, QA)).sat());
-  EXPECT_TRUE(checkSat(T, T.mkAnd(DomA, QB)).sat());
-
-  // An unsatisfiable cone query must refute, not drift to Unknown.
-  TermId QUnsat = T.mkAnd(T.mkEq(XA, T.mkConst(3)),
-                          T.mkEq(XA, T.mkConst(4)));
-  EXPECT_TRUE(IS.check(QUnsat).unsat());
-}
-
-//===----------------------------------------------------------------------===//
 // Learnt-clause DB reduction
 //===----------------------------------------------------------------------===//
 
@@ -591,34 +337,6 @@ TEST(SpatialSplittingRegression, InequivalentPairIdenticalVerdicts) {
   for (size_t I = 0; I < Scr.size(); ++I)
     EXPECT_EQ(Inc.SplitRes[I].V, Scr[I].V) << "cell " << I;
   EXPECT_FALSE(Inc.Counterexample.empty());
-}
-
-TEST(SpatialSplittingRegression, PortfolioFunnelMatchesForkVerdicts) {
-  // End-to-end stage-4 regression: portfolio racing (the default: a
-  // shared-learnt cone + reuse fast arm ahead of the sound fork) must
-  // reproduce the fork-per-query verdicts on the bundled equivalent pair.
-  core::EquivConfig Fork = stage4::splittingOnly();
-  Fork.PortfolioSolving = false;
-  core::EquivConfig Port = stage4::splittingOnly();
-  Port.PortfolioSolving = true;
-
-  core::EquivResult F = core::checkEquivalence(stage4::ScalarAdd1,
-                                               stage4::VectorAdd1, Fork);
-  core::EquivResult P = core::checkEquivalence(stage4::ScalarAdd1,
-                                               stage4::VectorAdd1, Port);
-  EXPECT_EQ(F.Final, core::EquivResult::Equivalent) << F.Detail;
-  EXPECT_EQ(P.Final, F.Final);
-  EXPECT_EQ(P.DecidedBy, F.DecidedBy);
-  ASSERT_EQ(P.SplitRes.size(), F.SplitRes.size());
-  // At least one cell's verdict must come from the fast arm itself
-  // (PortfolioArm 2 also covers cells the adaptive gate never raced).
-  bool FastDecided = false;
-  for (size_t I = 0; I < P.SplitRes.size(); ++I) {
-    EXPECT_EQ(P.SplitRes[I].V, F.SplitRes[I].V) << "cell " << I;
-    EXPECT_EQ(F.SplitRes[I].PortfolioArm, 0) << "cell " << I;
-    FastDecided |= P.SplitRes[I].PortfolioArm == 1;
-  }
-  EXPECT_TRUE(FastDecided) << "no stage-4 cell was decided by the fast arm";
 }
 
 TEST(SpatialSplittingRegression, IncrementalSharesOneEncoding) {

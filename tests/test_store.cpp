@@ -73,11 +73,10 @@ core::EquivResult mkEquiv(int I) {
   R.Alive2Res.Detail = "budget";
   R.CUnrollRes.V = tv::TVVerdict::Equivalent;
   R.CUnrollRes.Conflicts = 40 + static_cast<uint64_t>(I);
-  R.CUnrollRes.PortfolioArm = 1;
-  R.CUnrollRes.FastConflicts = 12;
+  R.CUnrollRes.Restarts = 12;
   R.SplitRes.resize(2);
   R.SplitRes[0].V = tv::TVVerdict::Equivalent;
-  R.SplitRes[0].TrailReused = 9;
+  R.SplitRes[0].SatVars = 9;
   R.SplitRes[1].V = tv::TVVerdict::Inconclusive;
   R.SplittingEligible = true;
   R.ChecksumNanos = 111;
@@ -271,30 +270,43 @@ TEST(Store, FlippedByteDropsDamagedSuffix) {
 }
 
 TEST(Store, VersionMismatchSetsStoreAsideCleanly) {
-  std::string Dir = scratchDir("version");
-  {
-    ResultStore S(Dir);
-    seed(S, 2);
-  }
-  // Corrupt a golden configHash inside the header: the store must be set
+  // Two incompatible headers: a log written by the previous schema
+  // (SchemaVersion 1 carried TVResult fields this layout no longer has, so
+  // decoding its records would misread every later field), and a golden
+  // configHash that no longer matches. Either way the store must be set
   // aside (not deleted, not fatal) and a usable fresh one put in place.
-  std::string Bytes = readFile(logPath(Dir));
-  ASSERT_GT(Bytes.size(), 32u);
-  Bytes[9] = static_cast<char>(Bytes[9] ^ 0x01);
-  writeFile(logPath(Dir), Bytes);
-  {
+  ASSERT_GT(ResultStore::SchemaVersion, 1u);
+  auto OldSchema = [](std::string &Bytes) {
+    Bytes[4] = 1;
+    Bytes[5] = Bytes[6] = Bytes[7] = 0;
+  };
+  auto OtherConfig = [](std::string &Bytes) {
+    Bytes[9] = static_cast<char>(Bytes[9] ^ 0x01);
+  };
+  for (auto Corrupt : {+OldSchema, +OtherConfig}) {
+    std::string Dir = scratchDir("version");
+    {
+      ResultStore S(Dir);
+      seed(S, 2);
+    }
+    std::string Bytes = readFile(logPath(Dir));
+    ASSERT_GT(Bytes.size(), 32u);
+    Corrupt(Bytes);
+    writeFile(logPath(Dir), Bytes);
+    {
+      ResultStore S(Dir);
+      StoreStats St = S.stats();
+      EXPECT_EQ(St.VersionSkipped, 1u);
+      EXPECT_EQ(St.LoadedEquiv + St.LoadedChecksum + St.LoadedPrograms, 0u);
+      EXPECT_TRUE(S.ok());
+      EXPECT_TRUE(fs::exists(logPath(Dir) + ".skipped"));
+      // The fresh store is fully usable.
+      seed(S, 1);
+    }
     ResultStore S(Dir);
-    StoreStats St = S.stats();
-    EXPECT_EQ(St.VersionSkipped, 1u);
-    EXPECT_EQ(St.LoadedEquiv + St.LoadedChecksum + St.LoadedPrograms, 0u);
-    EXPECT_TRUE(S.ok());
-    EXPECT_TRUE(fs::exists(logPath(Dir) + ".skipped"));
-    // The fresh store is fully usable.
-    seed(S, 1);
+    EXPECT_EQ(S.stats().VersionSkipped, 0u);
+    EXPECT_EQ(equivReplays(S, 1), 1);
   }
-  ResultStore S(Dir);
-  EXPECT_EQ(S.stats().VersionSkipped, 0u);
-  EXPECT_EQ(equivReplays(S, 1), 1);
 }
 
 //===----------------------------------------------------------------------===//

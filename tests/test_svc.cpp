@@ -186,10 +186,9 @@ TEST(Service, SplitCellWorkersVerdictParity) {
   // Starve stages 2-3 so the pair falls through to spatial splitting,
   // then fan the per-cell queries across 1, 2, and 8 workers. The
   // batched dispatch must be schedule-free: byte-identical outcomes
-  // between the batched widths. Width 1 takes the sequential path,
-  // whose fast racer searches the warm shared solver directly rather
-  // than a per-cell fork, so its fast-arm statistics may legitimately
-  // differ — verdict-level fields must still agree.
+  // between the batched widths. Width 1 takes the sequential loop;
+  // here its verdict-level fields must agree (TV.ForkModeBatchMatches-
+  // SequentialCells and bench_table3 pin full record identity).
   const char *Scalar =
       "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) "
       "a[i] = b[i] + 1; }";
@@ -262,15 +261,13 @@ TEST(ConfigHash, EquivFieldsDoNotAlias) {
   E.Checksum.Seed ^= 1; // nested config participates
   EXPECT_NE(E.configHash(), core::EquivConfig().configHash());
 
-  // The portfolio knobs participate and do not alias the other booleans.
-  core::EquivConfig I, J;
-  I.PortfolioSolving = !I.PortfolioSolving;
+  // The cell-worker count participates and does not alias the ablation
+  // booleans. (Tag 15, the retired portfolio-solving flag, is gone.)
+  core::EquivConfig J;
   J.SplitCellWorkers = 8;
-  EXPECT_NE(I.configHash(), core::EquivConfig().configHash());
   EXPECT_NE(J.configHash(), core::EquivConfig().configHash());
-  EXPECT_NE(I.configHash(), J.configHash());
-  EXPECT_NE(I.configHash(), C.configHash());
-  EXPECT_NE(I.configHash(), D.configHash());
+  EXPECT_NE(J.configHash(), C.configHash());
+  EXPECT_NE(J.configHash(), D.configHash());
 }
 
 TEST(ConfigHash, FsmFieldsDoNotAlias) {
@@ -290,18 +287,17 @@ TEST(ConfigHash, PinnedGoldenValues) {
   // Golden pins: adding, removing, or reordering hashed fields must be a
   // conscious change — update these constants (and bump any persistent
   // cache format) when configHash legitimately changes.
-  // PR 5: ChecksumConfig grew the UseBytecode engine knob (which also
-  // shifts the nested hashes in EquivConfig and FsmConfig).
-  // PR 7: EquivConfig grew PortfolioSolving (default true) and
-  // SplitCellWorkers — portfolio verdicts must never share a cache slot
-  // with the pre-portfolio default.
-  // EquivConfig fields 10-14 (the scratch-solving, split-cell callback,
-  // shared-learnt, cone-projection and trail-reuse knobs) removed. The store
-  // record layout is unchanged, so its schema version stays 1: store and
-  // journal headers embed this default hash, so logs written before the
-  // removal are set aside on open (Store.VersionMismatchSetsStoreAsideCleanly).
+  // History: ChecksumConfig grew the UseBytecode engine knob (which also
+  // shifts the nested hashes in EquivConfig and FsmConfig); EquivConfig
+  // grew SplitCellWorkers (tag 16). EquivConfig tags 10-15 (the
+  // scratch-solving, split-cell callback, shared-learnt, cone-projection,
+  // trail-reuse and racing-solver knobs) are retired. Removing tag 15 also
+  // shrank the TVResult and StageSatWork layouts, so the store and journal
+  // schemas moved to version 2; logs written before either change are set
+  // aside on open (Store.VersionMismatchSetsStoreAsideCleanly,
+  // Journal.OldSchemaJournalIsSetAside).
   EXPECT_EQ(interp::ChecksumConfig().configHash(), 0xf48e134cc157f574ULL);
-  EXPECT_EQ(core::EquivConfig().configHash(), 0x6a5798c3cc0ded3dULL);
+  EXPECT_EQ(core::EquivConfig().configHash(), 0xfe1451b5a1eb04b1ULL);
   EXPECT_EQ(agents::FsmConfig().configHash(), 0x5052f9edddaa4b60ULL);
 }
 

@@ -342,7 +342,7 @@ TEST(TV, TinyBudgetInconclusive) {
 }
 
 //===--------------------------------------------------------------------===//
-// Portfolio racing and batched cell dispatch
+// Batched cell dispatch
 //===--------------------------------------------------------------------===//
 
 /// Field-level equality minus SolveNanos (wall time is the one field the
@@ -354,17 +354,9 @@ void expectTvEq(const TVResult &A, const TVResult &B, const char *What) {
   EXPECT_EQ(A.Conflicts, B.Conflicts) << What;
   EXPECT_EQ(A.Propagations, B.Propagations) << What;
   EXPECT_EQ(A.Restarts, B.Restarts) << What;
-  EXPECT_EQ(A.TrailReused, B.TrailReused) << What;
-  EXPECT_EQ(A.ConeVars, B.ConeVars) << What;
-  EXPECT_EQ(A.ConeClauses, B.ConeClauses) << What;
   EXPECT_EQ(A.Clauses, B.Clauses) << What;
   EXPECT_EQ(A.SatVars, B.SatVars) << What;
   EXPECT_EQ(A.TermCount, B.TermCount) << What;
-  EXPECT_EQ(A.PortfolioArm, B.PortfolioArm) << What;
-  EXPECT_EQ(A.FastConflicts, B.FastConflicts) << What;
-  EXPECT_EQ(A.FastPropagations, B.FastPropagations) << What;
-  EXPECT_EQ(A.FastRestarts, B.FastRestarts) << What;
-  EXPECT_EQ(A.FastTrailReused, B.FastTrailReused) << What;
 }
 
 const char *WidenScalar =
@@ -379,72 +371,6 @@ const char *WidenVec = R"(
       }
     })";
 
-TEST(TV, PortfolioForcedFallbackKeepsSoundVerdict) {
-  // The test hook pinches the fast racer to a zero-conflict budget, so it
-  // exhausts on every query (the forced "disagreement": fast says Unknown
-  // where the sound fork decides). The sound fork's verdict must always
-  // win, and its share of the work must equal a plain fork session
-  // bit-for-bit — the fast racer never touches the sound base.
-  VFunctionPtr S1 = mustCompile(WidenScalar), V1 = mustCompile(WidenVec);
-  VFunctionPtr S2 = mustCompile(WidenScalar), V2 = mustCompile(WidenVec);
-  RefineOptions ForkO = withDiv("n", 0);
-  ForkO.Budget.MaxConflicts = 400'000;
-  RefineOptions PortO = ForkO;
-  PortO.Portfolio = true;
-  PortO.PortfolioFastMaxConflicts = 0;
-  RefinementSession Fork(*S1, *V1, ForkO);
-  RefinementSession Port(*S2, *V2, PortO);
-
-  TVResult FF = Fork.checkFull(ForkO.Budget);
-  TVResult PF = Port.checkFull(PortO.Budget);
-  EXPECT_EQ(FF.V, TVVerdict::Equivalent) << FF.Detail;
-  EXPECT_EQ(PF.V, FF.V) << PF.Detail;
-  EXPECT_EQ(PF.Detail, FF.Detail);
-  EXPECT_EQ(PF.PortfolioArm, 2) << "pinched fast arm must lose the race";
-  // Headline counters total both racers; the sound share is the fork run.
-  EXPECT_EQ(PF.Conflicts - PF.FastConflicts, FF.Conflicts);
-  EXPECT_EQ(PF.Propagations - PF.FastPropagations, FF.Propagations);
-
-  // The fast arm exhausted this budget class, so the adaptive gate skips
-  // the race from now on: same-budget queries are pure sound forks with
-  // zero fast-arm work — bit-identical to the fork session.
-  TVResult FC = Fork.checkCell(0, ForkO.Budget);
-  TVResult PC = Port.checkCell(0, PortO.Budget);
-  EXPECT_EQ(PC.PortfolioArm, 2) << "sound arm decided (race skipped)";
-  EXPECT_EQ(PC.FastConflicts, 0u) << "adaptive gate must skip the race";
-  EXPECT_EQ(PC.FastPropagations, 0u);
-  EXPECT_EQ(PC.V, FC.V) << PC.Detail;
-  EXPECT_EQ(PC.Conflicts, FC.Conflicts);
-  EXPECT_EQ(PC.Propagations, FC.Propagations);
-}
-
-TEST(TV, PortfolioFastArmDecides) {
-  // An easy decidable query under a generous budget: the shared-learnt
-  // cone+reuse probe decides within its slice and the sound fork never
-  // runs — a fast win whose headline work is the fast arm's work alone.
-  VFunctionPtr S = mustCompile(
-      "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) "
-      "a[i] = b[i] + 1; }");
-  VFunctionPtr V = mustCompile(R"(
-    void f(int n, int *a, int *b) {
-      __m256i one = _mm256_set1_epi32(1);
-      for (int i = 0; i < n; i += 8) {
-        __m256i v = _mm256_loadu_si256((__m256i *)&b[i]);
-        _mm256_storeu_si256((__m256i *)&a[i], _mm256_add_epi32(v, one));
-      }
-    })");
-  RefineOptions O = withDiv("n", 0);
-  O.Budget.MaxConflicts = 200'000; // probe slice = 25k, plenty for this
-  O.Portfolio = true;
-  RefinementSession Sess(*S, *V, O);
-  TVResult R = Sess.checkFull(O.Budget);
-  EXPECT_EQ(R.V, TVVerdict::Equivalent) << R.Detail;
-  EXPECT_EQ(R.PortfolioArm, 1) << "fast arm should decide within the probe";
-  // A fast win's work IS the fast arm's work.
-  EXPECT_EQ(R.Conflicts, R.FastConflicts);
-  EXPECT_EQ(R.Propagations, R.FastPropagations);
-}
-
 TEST(TV, CheckCellsBitIdenticalAcrossWorkerCounts) {
   // The batched stage-4 dispatch must be schedule-free: identical results
   // at 1, 2, and 8 workers, including the duplicate-cell replay path (the
@@ -456,7 +382,6 @@ TEST(TV, CheckCellsBitIdenticalAcrossWorkerCounts) {
   for (int W : {1, 2, 8}) {
     VFunctionPtr S = mustCompile(WidenScalar), V = mustCompile(WidenVec);
     RefineOptions O = withDiv("n", 0);
-    O.Portfolio = true;
     RefinementSession Sess(*S, *V, O);
     ByWidth.push_back(Sess.checkCells(Cells, Budget, W));
   }
@@ -474,7 +399,7 @@ TEST(TV, CheckCellsBitIdenticalAcrossWorkerCounts) {
 }
 
 TEST(TV, ForkModeBatchMatchesSequentialCells) {
-  // With racing off, the batched dispatch must reproduce the sequential
+  // The batched dispatch must reproduce the sequential
   // checkCell loop exactly — same verdicts, same work, same memo
   // behaviour for the duplicated cell.
   std::vector<int> Cells = {0, 1, 2, 3, 2};
